@@ -299,19 +299,15 @@ void RunFaultOverheadTable() {
 }
 
 /// ns per fetch through a 1-shard BufferService driven single-threaded
-/// with a hit-dominated loop (working set = half the buffer). The
-/// mutex-vs-optimistic delta measured this way is the raw per-pin protocol
-/// cost: one uncontended mutex round-trip versus a version-stamp probe,
-/// pin-validate, and deferred policy event — with zero contention on either
-/// side.
-double MeasureServiceFetchNs(const storage::DiskManager& disk,
-                             svc::LatchMode mode, size_t frames,
+/// with a hit-dominated loop (working set = half the buffer): the raw
+/// uncontended per-pin cost of the optimistic protocol — version-stamp
+/// probe, pin-validate, and deferred policy event.
+double MeasureServiceFetchNs(const storage::DiskManager& disk, size_t frames,
                              size_t pages) {
   svc::BufferServiceConfig config;
   config.total_frames = frames;
   config.shard_count = 1;
   config.policy_spec = "ASB";
-  config.latch_mode = mode;
   svc::BufferService service(disk, config);
   uint64_t query = 0;
   storage::PageId next = 0;
@@ -338,47 +334,35 @@ double MeasureServiceFetchNs(const storage::DiskManager& disk,
   }
 }
 
-/// Latch-protocol A/B on the service's pin hot path (see
-/// MeasureServiceFetchNs). Appended to BENCH_policy_overhead.json as
-/// bench:"latch_overhead".
-void RunLatchOverheadTable() {
+/// The service's pin hot-path cost (see MeasureServiceFetchNs), the
+/// yardstick for shaving the optimistic protocol's per-hit work. Appended
+/// to BENCH_policy_overhead.json as bench:"service_fetch_ns".
+void RunServiceFetchTable() {
   const std::vector<size_t> frame_counts = {256, 1024};
   const std::string json_path = "BENCH_policy_overhead.json";
   bool json_ok = true;
-  sim::Table table({"frames", "ns/fetch (mutex)", "ns/fetch (optimistic)",
-                    "overhead"});
+  sim::Table table({"frames", "ns/fetch"});
   for (const size_t frames : frame_counts) {
     const size_t pages = frames / 2;
     auto disk = StageDisk(pages);
-    // Best-of-3 per side: single-digit-ns deltas drown in scheduler noise
-    // otherwise.
-    double mutex_ns = 0.0, optimistic_ns = 0.0;
+    // Best-of-3: single-digit-ns deltas drown in scheduler noise otherwise.
+    double ns = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      const double m =
-          MeasureServiceFetchNs(*disk, svc::LatchMode::kMutex, frames, pages);
-      const double o = MeasureServiceFetchNs(
-          *disk, svc::LatchMode::kOptimistic, frames, pages);
-      if (rep == 0 || m < mutex_ns) mutex_ns = m;
-      if (rep == 0 || o < optimistic_ns) optimistic_ns = o;
+      const double one = MeasureServiceFetchNs(*disk, frames, pages);
+      if (rep == 0 || one < ns) ns = one;
     }
-    const double overhead =
-        mutex_ns > 0.0 ? (optimistic_ns - mutex_ns) / mutex_ns : 0.0;
-    table.AddRow({std::to_string(frames), sim::FormatDouble(mutex_ns, 1),
-                  sim::FormatDouble(optimistic_ns, 1),
-                  sim::FormatDouble(100.0 * overhead, 2) + "%"});
-    char line[384];
+    table.AddRow({std::to_string(frames), sim::FormatDouble(ns, 1)});
+    char line[256];
     std::snprintf(line, sizeof(line),
-                  "{\"schema_version\":%d,\"bench\":\"latch_overhead\","
+                  "{\"schema_version\":%d,\"bench\":\"service_fetch_ns\","
                   "\"policy\":\"ASB\",\"frames\":%zu,"
-                  "\"ns_per_fetch_mutex\":%.1f,"
-                  "\"ns_per_fetch_optimistic\":%.1f,\"overhead_frac\":%.4f}",
-                  obs::kBenchJsonSchemaVersion, frames, mutex_ns,
-                  optimistic_ns, overhead);
+                  "\"ns_per_fetch\":%.1f}",
+                  obs::kBenchJsonSchemaVersion, frames, ns);
     json_ok = sim::AppendJsonLine(json_path, line) && json_ok;
   }
   table.Print(
-      "single-threaded latch-protocol cost on the service pin path, "
-      "mutex vs optimistic (1 shard, all hits)");
+      "single-threaded service pin-path cost (1 shard, all hits, "
+      "optimistic latching)");
   if (!json_ok) {
     std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
   }
@@ -558,7 +542,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   RunEvictionCostTable();
   RunFaultOverheadTable();
-  RunLatchOverheadTable();
+  RunServiceFetchTable();
   RunObsOverheadTable();
   RunEoRefreshCostTable();
   return 0;

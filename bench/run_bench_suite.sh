@@ -5,13 +5,12 @@
 #   BENCH_sweep.json            all figure benches' sweep rows (concatenated)
 #   BENCH_metrics.json          the figure sweeps' merged metrics registries
 #   BENCH_policy_overhead.json  eviction-cost + EO-refresh A/B rows, plus a
-#                               latch_overhead row (mutex vs optimistic
-#                               ns/fetch on the uncontended hit path)
+#                               service_fetch_ns row (service ns/fetch on
+#                               the uncontended hit path)
 #   BENCH_kernels.json          geometry-kernel dispatch-tier A/B rows
-#   BENCH_concurrent.json       concurrent shared-buffer service rows; the
-#                               grid runs twice (latch_mode mutex vs
-#                               optimistic) and each row carries pin-latency
-#                               percentiles (pin_p50_ns/p95/p99)
+#   BENCH_concurrent.json       concurrent shared-buffer service rows
+#                               (workers x shards grid); each row carries
+#                               pin-latency percentiles (pin_p50_ns/p95/p99)
 #   BENCH_fault.json            fault-resilience rows (hit rate + fetch
 #                               latency vs injected fault rate, LRU vs ASB)
 #

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "obs/trace.h"
 #include "storage/crc32c.h"
 
 namespace sdb::core {
@@ -432,12 +431,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
 }
 
 Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
-  return FinishReadWithRecovery(
-      f, page, disk_->Read(page, {FrameData(f), page_size_}));
-}
-
-Status BufferManager::FinishReadWithRecovery(FrameId f, storage::PageId page,
-                                             Status status) {
+  Status status = disk_->Read(page, {FrameData(f), page_size_});
   uint32_t failures = 0;
   while (true) {
     if (status.ok() && resilience_.verify_checksums) {
@@ -1007,13 +1001,6 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
   deferred_ = std::make_unique<AccessEventRing>(
       std::max<size_t>(options.event_ring_capacity, 8));
-  if (options.async_reads) {
-    storage::AsyncDeviceOptions async = options.async;
-    async.queue_depth =
-        std::clamp<size_t>(async.queue_depth, 1, frames_.size());
-    async_device_ = std::make_unique<storage::AsyncPageDevice>(disk_, async);
-    staging_ = std::make_unique<std::byte[]>(async.queue_depth * page_size_);
-  }
   concurrent_ = true;
 }
 
@@ -1083,7 +1070,7 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
   // callbacks only apply if the frame still holds the event's page. The
   // eviction path's live-pin check is the safety net for any flag staleness
   // this introduces under races; in serial execution the guard never fires
-  // and the replay is exactly the eager mutex-path sequence.
+  // and the replay is exactly the eager single-threaded sequence.
   const bool current = event.frame < frames_.size() &&
                        frames_[event.frame].page == event.page;
   switch (event.kind) {
@@ -1106,136 +1093,11 @@ void BufferManager::ApplyDeferred(const DeferredEvent& event) {
   }
 }
 
-void BufferManager::FetchBatchLocked(
-    std::span<const storage::PageId> pages, const AccessContext& ctx,
-    std::vector<StatusOr<PageHandle>>* out) {
-  if (!concurrent_ || async_device_ == nullptr || pages.size() < 2) {
-    for (const storage::PageId page : pages) out->push_back(Fetch(page, ctx));
-    return;
-  }
-  DrainDeferred();
-  const size_t depth = async_device_->queue_depth();
-  std::vector<storage::PageId> staged_pages;
-  std::unordered_map<storage::PageId, size_t> staged_slot;
-  std::unordered_map<storage::PageId, Status> completed;
-  std::vector<storage::AsyncPageDevice::Completion> completions;
-  size_t begin = 0;
-  while (begin < pages.size()) {
-    // Segment the batch so its distinct predicted misses fit the queue.
-    // Prediction mutates nothing; an element whose residency shifts under
-    // our own installs/evictions mid-segment degrades to a sync read with
-    // identical accounting.
-    staged_pages.clear();
-    staged_slot.clear();
-    completed.clear();
-    size_t end = begin;
-    while (end < pages.size()) {
-      const storage::PageId page = pages[end];
-      const bool predicted_miss = !bad_pages_.contains(page) &&
-                                  !page_table_.contains(page) &&
-                                  !staged_slot.contains(page);
-      if (predicted_miss && staged_pages.size() == depth) break;
-      if (predicted_miss) {
-        staged_slot.emplace(page, staged_pages.size());
-        staged_pages.push_back(page);
-      }
-      ++end;
-    }
-    {
-      // The device itself carries no tracing; the submit span closes over
-      // the whole staging burst. A segment with nothing staged emits none.
-      obs::ScopedSpan submit_span(
-          staged_pages.empty() ? nullptr : ctx.span,
-          obs::SpanKind::kAsyncSubmit);
-      submit_span.set_payload(staged_pages.size());
-      for (size_t i = 0; i < staged_pages.size(); ++i) {
-        async_device_->SubmitRead(
-            staged_pages[i], {staging_.get() + i * page_size_, page_size_});
-      }
-      async_device_->EndBatch();
-    }
-    // In-order semantic phase: the exact sequential Fetch sequence, with
-    // completions harvested out of order as each miss comes due.
-    for (size_t i = begin; i < end; ++i) {
-      out->push_back(
-          FetchOneInBatch(pages[i], ctx, staged_slot, &completed,
-                          &completions));
-    }
-    // Whatever was staged but never consumed (its element turned resident,
-    // or failed before the read) is dropped unread — no device read, no
-    // fault draw, so counted reads match the sequential replay.
-    async_device_->CancelAll();
-    begin = end;
-  }
-}
-
-StatusOr<PageHandle> BufferManager::FetchOneInBatch(
-    storage::PageId page, const AccessContext& ctx,
-    const std::unordered_map<storage::PageId, size_t>& staged_slot,
-    std::unordered_map<storage::PageId, Status>* completed,
-    std::vector<storage::AsyncPageDevice::Completion>* completions) {
-  if (!bad_pages_.empty()) {
-    if (const auto it = bad_pages_.find(page); it != bad_pages_.end()) {
-      return Status(it->second, "page previously failed terminally");
-    }
-  }
-  ++stats_.requests;
-  if (auto it = page_table_.find(page); it != page_table_.end()) {
-    ++stats_.hits;
-    const FrameId f = it->second;
-    if (PinIncrement(f) == 0) policy_->SetEvictable(f, false);
-    policy_->OnPageAccessed(f, ctx);
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, true);
-    }
-    return PageHandle(this, f, page);
-  }
-  ++stats_.misses;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_->OnBufferRequest(page, ctx.query_id, false);
-  }
-  StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
-  if (!acquired.ok()) return acquired.status();
-  const FrameId f = *acquired;
-  Status read;
-  const auto slot = staged_slot.find(page);
-  if (slot != staged_slot.end()) {
-    // The complete span covers the harvest-until-this-page poll loop plus
-    // the staging copy and checksum verify — the whole wait for the device.
-    obs::ScopedSpan complete_span(ctx.span, obs::SpanKind::kAsyncComplete);
-    complete_span.set_page(page);
-    while (!completed->contains(page) && async_device_->in_flight() > 0) {
-      completions->clear();
-      async_device_->PollCompletions(completions, 1);
-      for (const auto& completion : *completions) {
-        completed->emplace(completion.page, completion.status);
-      }
-    }
-    if (const auto done = completed->find(page); done != completed->end()) {
-      complete_span.set_flag(true);
-      std::memcpy(FrameData(f),
-                  staging_.get() + slot->second * page_size_, page_size_);
-      read = FinishReadWithRecovery(f, page, done->second);
-    } else {
-      read = ReadPageWithRecovery(f, page);
-    }
-  } else {
-    read = ReadPageWithRecovery(f, page);
-  }
-  if (!read.ok()) {
-    sync_[f].Unlock();
-    return read;
-  }
-  InstallLoadedPage(f, page, ctx, /*dirty=*/false);
-  sync_[f].Unlock();
-  return PageHandle(this, f, page);
-}
-
 void PageSource::FetchBatch(std::span<const storage::PageId> pages,
                             const AccessContext& ctx,
                             std::vector<StatusOr<PageHandle>>* out) {
   // Default: a plain sequential loop, byte-identical to the caller issuing
-  // the fetches itself. Sources with an async pipeline override this.
+  // the fetches itself. The sharded service overrides this.
   out->reserve(out->size() + pages.size());
   for (const storage::PageId page : pages) out->push_back(Fetch(page, ctx));
 }

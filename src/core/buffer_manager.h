@@ -15,7 +15,6 @@
 #include "core/replacement_policy.h"
 #include "core/status.h"
 #include "obs/collector.h"
-#include "storage/async_device.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "wal/wal.h"
@@ -152,19 +151,11 @@ struct ResilienceOptions {
 /// Concurrency knobs of one BufferManager (EnableConcurrency). Off by
 /// default: single-threaded users never pay for any of it.
 struct ConcurrentOptions {
-  /// Latch-free optimistic read path: hits pin through per-frame version
-  /// stamps instead of the shard latch, deferring their policy/stats
-  /// bookkeeping into an event ring the next exclusive section drains.
-  bool optimistic = true;
   /// Capacity of the deferred-event ring (rounded up to a power of two). A
   /// full ring falls back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
   /// Optimistic probe attempts before giving up and taking the latch.
   uint32_t max_optimistic_retries = 3;
-  /// Route batched misses (FetchBatch) through an AsyncPageDevice so the
-  /// batch's reads are submitted together and complete out of order.
-  bool async_reads = true;
-  storage::AsyncDeviceOptions async;
 };
 
 /// Background write-back knobs (ConfigureBackgroundWriteback). Disabled by
@@ -216,10 +207,10 @@ class PageSource {
 
   /// Fetches a batch of pages, returning one pinned-handle-or-error per
   /// input in input order. The default is a sequential Fetch loop —
-  /// behaviorally identical to the caller looping itself — while sources
-  /// with an asynchronous read pipeline (svc::BufferService) overlap the
-  /// batch's misses. Every element counts as exactly one access either
-  /// way. All handles of a batch may be alive at once, so callers must
+  /// behaviorally identical to the caller looping itself — while the
+  /// sharded service (svc::BufferService) amortizes one latch hold per
+  /// shard over the batch. Every element counts as exactly one access
+  /// either way. All handles of a batch may be alive at once, so callers must
   /// size batches against the source's pin headroom.
   virtual void FetchBatch(std::span<const storage::PageId> pages,
                           const AccessContext& ctx,
@@ -329,7 +320,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Switches this buffer into concurrent mode (call once, before traffic,
   /// with the external latch already attached): allocates the per-frame
   /// version stamps, the lock-free page table mirror and the deferred-event
-  /// ring, and optionally the async read pipeline. From then on
+  /// ring. From then on
   /// TryOptimisticFetch may serve hits without the latch, and exclusive
   /// sections (Fetch/New/Unpin/stats under the latch) drain the ring first.
   void EnableConcurrency(const ConcurrentOptions& options);
@@ -349,16 +340,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// the service's stats/metrics paths, which must drain before reading.
   void DrainDeferred();
 
-  /// Batched miss pipeline body (latch held, ring drained by the caller or
-  /// a prior exclusive section): semantically a sequential Fetch loop over
-  /// `pages`, but with the misses' device reads submitted as one batch
-  /// through the async device (when enabled) so they complete out of order
-  /// ahead of the in-order install/policy phase. Appends one result per
-  /// page to `out`.
-  void FetchBatchLocked(std::span<const storage::PageId> pages,
-                        const AccessContext& ctx,
-                        std::vector<StatusOr<PageHandle>>* out);
-
   /// Optimistic-path counters (concurrent mode; all zero otherwise).
   /// Retries = optimistic attempts abandoned for any reason; conflicts =
   /// version validations that failed against a concurrent writer.
@@ -370,11 +351,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   }
   uint64_t version_conflicts() const {
     return version_conflicts_.load(std::memory_order_relaxed);
-  }
-
-  /// The async read pipeline (nullptr when async reads are off).
-  const storage::AsyncPageDevice* async_device() const {
-    return async_device_.get();
   }
 
   /// Attaches the write-ahead log (nullptr detaches). From then on the
@@ -572,22 +548,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// and records the page as bad. `page` is not yet in the page table.
   Status ReadPageWithRecovery(FrameId frame, storage::PageId page);
 
-  /// The verify/retry/quarantine tail of ReadPageWithRecovery, with the
-  /// first attempt's bytes already in the frame and its status in `status`
-  /// — shared by the sync path and the async batch path (whose first
-  /// attempt came through the staging arena).
-  Status FinishReadWithRecovery(FrameId frame, storage::PageId page,
-                                Status status);
-
-  /// One element of FetchBatchLocked's in-order phase: a sequential Fetch,
-  /// except that a staged async completion (when one exists for `page`)
-  /// replaces the first device read.
-  StatusOr<PageHandle> FetchOneInBatch(
-      storage::PageId page, const AccessContext& ctx,
-      const std::unordered_map<storage::PageId, size_t>& staged_slot,
-      std::unordered_map<storage::PageId, Status>* completed,
-      std::vector<storage::AsyncPageDevice::Completion>* completions);
-
   /// Takes `frame` out of service (or recycles it once the quarantine cap
   /// is hit) after a terminal read failure.
   void QuarantineFrame(FrameId frame, storage::PageId page);
@@ -744,11 +704,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::atomic<uint64_t> optimistic_hits_{0};
   std::atomic<uint64_t> optimistic_retries_{0};
   std::atomic<uint64_t> version_conflicts_{0};
-  // Async batched-read pipeline (FetchBatchLocked misses) plus its staging
-  // arena: queue_depth page-sized buffers the completions land in before
-  // the in-order install phase copies them into frames.
-  std::unique_ptr<storage::AsyncPageDevice> async_device_;
-  std::unique_ptr<std::byte[]> staging_;
 };
 
 }  // namespace sdb::core

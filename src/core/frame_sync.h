@@ -183,8 +183,8 @@ class ConcurrentPageTable {
 /// hits and unpins cannot call into the (single-threaded) replacement
 /// policy, so they record what happened here and the next exclusive section
 /// replays the ring in FIFO order before reading or mutating policy state —
-/// in serial execution that makes the policy's view bit-identical to the
-/// eager mutex path.
+/// in serial execution that makes the policy's view bit-identical to a
+/// private (single-threaded, eager) buffer.
 struct DeferredEvent {
   enum class Kind : uint8_t { kHit, kUnpin };
 

@@ -17,7 +17,10 @@ namespace sdb::obs {
 ///   1: implicit (rows without the field)
 ///   2: the field itself + concurrent-service rows (BENCH_concurrent.json)
 ///   3: metrics blocks in concurrent/fault rows + the BENCH_timeseries.json
-///      writer (additive only — version-2 fields are unchanged)
+///      writer (additive only — version-2 fields are unchanged). Later,
+///      without a bump so sweep rows stay byte-identical: concurrent rows
+///      dropped `latch_mode` and timeseries windows `io_queue_depth` (both
+///      described mechanisms that no longer exist).
 inline constexpr int kBenchJsonSchemaVersion = 3;
 
 /// Compact single-line JSON object of a snapshot: counters and gauges as

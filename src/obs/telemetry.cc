@@ -17,7 +17,6 @@ struct Totals {
   uint64_t latch_waits = 0;
   uint64_t latch_acquires = 0;
   uint64_t disk_reads = 0;
-  uint64_t io_queue_depth = 0;
   uint64_t quarantined_frames = 0;
   uint64_t asb_candidate = 0;
 };
@@ -35,8 +34,6 @@ Totals ReadTotals(const MetricsSnapshot& snapshot) {
       totals.latch_acquires = metric.count;
     } else if (metric.name == "svc.disk_reads") {
       totals.disk_reads = metric.count;
-    } else if (metric.name == "io.queue_depth") {
-      totals.io_queue_depth = static_cast<uint64_t>(metric.value);
     } else if (metric.name == "io.quarantined_frames") {
       totals.quarantined_frames = metric.count;
     } else if (metric.name == "asb.candidate") {
@@ -77,7 +74,6 @@ void TelemetryHub::Sample(uint64_t clock, const MetricsSnapshot& snapshot,
   window.latch_acquires =
       SatDelta(totals.latch_acquires, base_.latch_acquires);
   window.disk_reads = SatDelta(totals.disk_reads, base_.disk_reads);
-  window.io_queue_depth = totals.io_queue_depth;
   window.quarantined_frames = totals.quarantined_frames;
   window.asb_candidate =
       asb_candidate != 0 ? asb_candidate : totals.asb_candidate;
@@ -125,7 +121,7 @@ bool WriteTimeSeriesJson(const std::string& path,
              "{\"schema_version\":%d,\"kind\":\"window\",\"clock\":%llu,"
              "\"requests\":%llu,\"hits\":%llu,\"hit_rate\":%.6f,"
              "\"latch_waits\":%llu,\"latch_acquires\":%llu,"
-             "\"disk_reads\":%llu,\"io_queue_depth\":%llu,"
+             "\"disk_reads\":%llu,"
              "\"quarantined_frames\":%llu,\"asb_candidate\":%llu}\n",
              kBenchJsonSchemaVersion,
              static_cast<unsigned long long>(w.clock),
@@ -134,7 +130,6 @@ bool WriteTimeSeriesJson(const std::string& path,
              static_cast<unsigned long long>(w.latch_waits),
              static_cast<unsigned long long>(w.latch_acquires),
              static_cast<unsigned long long>(w.disk_reads),
-             static_cast<unsigned long long>(w.io_queue_depth),
              static_cast<unsigned long long>(w.quarantined_frames),
              static_cast<unsigned long long>(w.asb_candidate)) >= 0 &&
          ok;

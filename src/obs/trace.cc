@@ -48,10 +48,6 @@ const char* SpanName(SpanKind kind) {
       return "query";
     case SpanKind::kShardFetch:
       return "shard_fetch";
-    case SpanKind::kAsyncSubmit:
-      return "async_submit";
-    case SpanKind::kAsyncComplete:
-      return "async_complete";
     case SpanKind::kWalAppend:
       return "wal_append";
     case SpanKind::kCheckpoint:

@@ -53,7 +53,6 @@ void BufferService::Init(const storage::DiskManager& disk,
                          const BufferServiceConfig& config) {
   total_frames_ = config.total_frames;
   policy_spec_ = config.policy_spec;
-  latch_mode_ = config.latch_mode;
   collect_metrics_ = config.collect_metrics && obs::kEnabled;
   SDB_CHECK_MSG(config.shard_count > 0, "service needs at least one shard");
   SDB_CHECK_MSG(config.total_frames >= config.shard_count,
@@ -95,19 +94,9 @@ void BufferService::Init(const storage::DiskManager& disk,
         device, SplitFrames(total_frames_, config.shard_count, s),
         std::move(policy), shard->collector.get(), config.resilience);
     shard->buffer->set_latch(&shard->latch);
-    if (latch_mode_ == LatchMode::kOptimistic) {
-      core::ConcurrentOptions concurrent;
-      concurrent.optimistic = true;
-      concurrent.event_ring_capacity = config.event_ring_capacity;
-      concurrent.async_reads = config.async_reads;
-      concurrent.async.queue_depth = config.async_queue_depth;
-      // Deterministic per-shard completion schedule: the whole service
-      // replays for a fixed shard layout, but shards do not mirror each
-      // other's reordering.
-      concurrent.async.completion_seed =
-          Mix64(0x5db0a51cull ^ (static_cast<uint64_t>(s) + 1));
-      shard->buffer->EnableConcurrency(concurrent);
-    }
+    core::ConcurrentOptions concurrent;
+    concurrent.event_ring_capacity = config.event_ring_capacity;
+    shard->buffer->EnableConcurrency(concurrent);
     if (wal_ != nullptr) shard->buffer->AttachWal(wal_);
     if (writable_disk_ != nullptr && config.flusher_threads > 0) {
       core::WritebackOptions writeback;
@@ -159,13 +148,11 @@ core::StatusOr<core::PageHandle> BufferService::Fetch(
   obs::ScopedSpan span(ctx.span, obs::SpanKind::kShardFetch);
   span.set_page(page);
   span.set_payload(s);
-  if (latch_mode_ == LatchMode::kOptimistic) {
-    // Latch-free hit path: version-validated pin, bookkeeping deferred.
-    if (std::optional<core::PageHandle> hit =
-            shard.buffer->TryOptimisticFetch(page, ctx)) {
-      span.set_flag(true);
-      return std::move(*hit);
-    }
+  // Latch-free hit path: version-validated pin, bookkeeping deferred.
+  if (std::optional<core::PageHandle> hit =
+          shard.buffer->TryOptimisticFetch(page, ctx)) {
+    span.set_flag(true);
+    return std::move(*hit);
   }
   const std::unique_lock<std::mutex> lock = LockShard(shard);
   return shard.buffer->Fetch(page, ctx);
@@ -179,49 +166,46 @@ void BufferService::FetchBatch(
   // has to take the latched path, serving a LATER page of that same shard
   // optimistically here would reorder the two accesses as the shard's
   // policy sees them (the optimistic hit lands first, the latched fetch
-  // after), diverging from the mutex baseline's per-shard sequence. So the
-  // first probe failure blocks the rest of that shard into phase 2, where
-  // the batch pipeline replays them in order under one latch hold.
+  // after), diverging from the serial per-shard sequence. So the first
+  // probe failure blocks the rest of that shard into phase 2, which
+  // replays them in order under one latch hold.
   std::vector<std::optional<core::StatusOr<core::PageHandle>>> slots(
       pages.size());
-  if (latch_mode_ == LatchMode::kOptimistic) {
-    std::vector<bool> shard_blocked(shards_.size(), false);
-    for (size_t i = 0; i < pages.size(); ++i) {
-      const size_t s = ShardOf(pages[i]);
-      if (shard_blocked[s]) continue;
-      if (std::optional<core::PageHandle> hit =
-              shards_[s]->buffer->TryOptimisticFetch(pages[i], ctx)) {
-        slots[i] = std::move(*hit);
-      } else {
-        shard_blocked[s] = true;
-      }
+  std::vector<bool> shard_blocked(shards_.size(), false);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const size_t s = ShardOf(pages[i]);
+    if (shard_blocked[s]) continue;
+    if (std::optional<core::PageHandle> hit =
+            shards_[s]->buffer->TryOptimisticFetch(pages[i], ctx)) {
+      slots[i] = std::move(*hit);
+    } else {
+      shard_blocked[s] = true;
     }
   }
   // Phase 2: group the remainder by shard (input order preserved within a
-  // shard — different shards are independent buffers) and run each group
-  // through the shard's batched miss pipeline under one latch hold.
+  // shard — different shards are independent buffers) and fetch each group
+  // in order under one latch hold.
   std::vector<std::vector<size_t>> by_shard(shards_.size());
   for (size_t i = 0; i < pages.size(); ++i) {
     if (!slots[i].has_value()) by_shard[ShardOf(pages[i])].push_back(i);
   }
-  std::vector<storage::PageId> shard_pages;
-  std::vector<core::StatusOr<core::PageHandle>> shard_out;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (by_shard[s].empty()) continue;
-    shard_pages.clear();
-    shard_out.clear();
-    for (const size_t i : by_shard[s]) shard_pages.push_back(pages[i]);
     Shard& shard = *shards_[s];
-    // One span per shard group: the latch hold plus the shard's batched
-    // miss pipeline (any kAsyncSubmit/kAsyncComplete spans nest inside).
+    // One span per shard group: the latch hold plus the group's fetches.
     // payload = the shard index, page = the group's lead page.
     obs::ScopedSpan span(ctx.span, obs::SpanKind::kShardFetch);
-    span.set_page(shard_pages.front());
+    span.set_page(pages[by_shard[s].front()]);
     span.set_payload(s);
     const std::unique_lock<std::mutex> lock = LockShard(shard);
-    shard.buffer->FetchBatchLocked(shard_pages, ctx, &shard_out);
-    for (size_t k = 0; k < by_shard[s].size(); ++k) {
-      slots[by_shard[s][k]] = std::move(shard_out[k]);
+    const uint64_t misses = shard.buffer->stats().misses;
+    const uint64_t reads = ShardIoStats(shard).reads;
+    for (const size_t i : by_shard[s]) {
+      slots[i] = shard.buffer->Fetch(pages[i], ctx);
+    }
+    if (shard.buffer->stats().misses != misses) {
+      ++shard.batch_submits;
+      shard.batch_reads += ShardIoStats(shard).reads - reads;
     }
   }
   out->reserve(out->size() + pages.size());
@@ -435,7 +419,7 @@ ShardStats BufferService::StatsOfShard(size_t s) const {
   Shard& shard = *shards_[s];
   const std::unique_lock<std::mutex> lock = LockShard(shard);
   // Deferred optimistic events must reach the buffer's stats before they
-  // are sampled (no-op in mutex mode).
+  // are sampled.
   shard.buffer->DrainDeferred();
   ShardStats stats;
   stats.buffer = shard.buffer->stats();
@@ -448,10 +432,8 @@ ShardStats BufferService::StatsOfShard(size_t s) const {
   stats.optimistic_hits = shard.buffer->optimistic_hits();
   stats.optimistic_retries = shard.buffer->optimistic_retries();
   stats.version_conflicts = shard.buffer->version_conflicts();
-  if (const storage::AsyncPageDevice* async = shard.buffer->async_device()) {
-    stats.batch_submits = async->stats().batch_submits;
-    stats.async_reads = async->stats().completed;
-  }
+  stats.batch_submits = shard.batch_submits;
+  stats.async_reads = shard.batch_reads;
   stats.degraded = static_cast<uint64_t>(degraded_state());
   stats.degraded_entries = degraded_entries();
   return stats;
@@ -583,34 +565,15 @@ void BufferService::FlushShardLocked(Shard& shard) {
                   &shard.flushed_latch_acquires));
   metrics.GetCounter("svc.disk_reads")
       ->Add(delta(ShardIoStats(shard).reads, &shard.flushed_disk_reads));
-  if (latch_mode_ == LatchMode::kOptimistic) {
-    metrics.GetCounter("svc.optimistic_hits")
-        ->Add(delta(shard.buffer->optimistic_hits(),
-                    &shard.flushed_optimistic_hits));
-    metrics.GetCounter("svc.optimistic_retries")
-        ->Add(delta(shard.buffer->optimistic_retries(),
-                    &shard.flushed_optimistic_retries));
-    metrics.GetCounter("svc.version_conflicts")
-        ->Add(delta(shard.buffer->version_conflicts(),
-                    &shard.flushed_version_conflicts));
-  }
-  if (const storage::AsyncPageDevice* async = shard.buffer->async_device()) {
-    const storage::AsyncDeviceStats& astats = async->stats();
-    metrics.GetCounter("io.batch_submits")
-        ->Add(delta(astats.batch_submits, &shard.flushed_batch_submits));
-    uint64_t bucket_deltas[storage::AsyncDeviceStats::kDepthBuckets];
-    for (size_t b = 0; b < storage::AsyncDeviceStats::kDepthBuckets; ++b) {
-      bucket_deltas[b] =
-          delta(astats.depth_buckets[b], &shard.flushed_depth_buckets[b]);
-    }
-    metrics
-        .GetHistogram("io.queue_depth",
-                      std::span<const double>(storage::kAsyncQueueDepthBounds))
-        ->MergeFrom(bucket_deltas,
-                    static_cast<double>(delta(astats.depth_sum,
-                                              &shard.flushed_depth_sum)),
-                    delta(astats.submitted, &shard.flushed_async_submitted));
-  }
+  metrics.GetCounter("svc.optimistic_hits")
+      ->Add(delta(shard.buffer->optimistic_hits(),
+                  &shard.flushed_optimistic_hits));
+  metrics.GetCounter("svc.optimistic_retries")
+      ->Add(delta(shard.buffer->optimistic_retries(),
+                  &shard.flushed_optimistic_retries));
+  metrics.GetCounter("svc.version_conflicts")
+      ->Add(delta(shard.buffer->version_conflicts(),
+                  &shard.flushed_version_conflicts));
 }
 
 obs::MetricsSnapshot BufferService::MetricsSnapshot() {

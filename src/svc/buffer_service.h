@@ -12,7 +12,6 @@
 
 #include "core/asb_shared.h"
 #include "core/buffer_manager.h"
-#include "storage/async_device.h"
 #include "obs/collector.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
@@ -23,16 +22,6 @@
 namespace sdb::svc {
 
 class FlushCoordinator;
-
-/// How the service guards each shard's buffer on the pin/unpin hot path.
-enum class LatchMode : uint8_t {
-  /// Every fetch takes the shard's std::mutex (the pre-optimistic
-  /// behaviour, kept as the A/B baseline).
-  kMutex,
-  /// Hits pin latch-free through per-frame version stamps; the mutex
-  /// becomes a writer-side lock (misses, eviction, quarantine, stats).
-  kOptimistic,
-};
 
 /// Health of the whole service's write path. The service degrades instead
 /// of dying: once a write-side failure survives every retry budget below it
@@ -77,19 +66,10 @@ struct BufferServiceConfig {
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
-  /// Hot-path latching protocol (see LatchMode). Optimistic is the
-  /// default; kMutex preserves the previous blocking behaviour for A/B
-  /// comparison and as a fallback.
-  LatchMode latch_mode = LatchMode::kOptimistic;
-  /// Per-shard deferred-event ring capacity in optimistic mode (rounded up
-  /// to a power of two). Small rings just fall back to the latched path
-  /// more often.
+  /// Per-shard deferred-event ring capacity of the optimistic hit path
+  /// (rounded up to a power of two). Small rings just fall back to the
+  /// latched path more often.
   size_t event_ring_capacity = 1024;
-  /// Route FetchBatch misses through a per-shard AsyncPageDevice (batched
-  /// submit, out-of-order completion). Only effective in optimistic mode.
-  bool async_reads = true;
-  /// Submission-queue depth of each shard's async device.
-  size_t async_queue_depth = 8;
   /// When enabled, every shard reads through its own FaultInjectingDevice
   /// wrapping the shard view; the profile seed is mixed with the shard
   /// index so shards draw independent fault sequences but the whole service
@@ -141,14 +121,15 @@ struct ShardStats {
   uint64_t bad_pages = 0;
   /// Frames still in service (capacity minus quarantined).
   uint64_t usable_frames = 0;
-  /// Optimistic-path accounting (all zero in mutex mode): hits served
-  /// without the shard latch, probe attempts abandoned, and version
-  /// validations lost against a concurrent writer.
+  /// Optimistic-path accounting: hits served without the shard latch,
+  /// probe attempts abandoned, and version validations lost against a
+  /// concurrent writer.
   uint64_t optimistic_hits = 0;
   uint64_t optimistic_retries = 0;
   uint64_t version_conflicts = 0;
-  /// Async read pipeline: batches submitted and reads delivered through it
-  /// (zero when async reads are off).
+  /// Batched-read accounting: FetchBatch shard groups (the pages left for
+  /// the latched phase, one group per shard per batch) that had at least
+  /// one miss, and the device reads those groups issued.
   uint64_t batch_submits = 0;
   uint64_t async_reads = 0;
   /// Service-wide degraded-mode accounting, mirrored into every shard's
@@ -160,12 +141,14 @@ struct ShardStats {
 };
 
 /// Thread-safe shared buffer: one logical pool sharded across N
-/// BufferManager-backed partitions. Page-id hash picks the shard, a
-/// per-shard latch serializes that shard's buffer and policy, and policy
-/// work (victim scans, ASB adaptation) stays confined per shard so the
-/// lookup path of other shards never waits on it. Handles returned by
-/// Fetch release their pin through the owning shard's latch, so they may be
-/// dropped from any thread at any time.
+/// BufferManager-backed partitions. Page-id hash picks the shard. Hits pin
+/// latch-free through per-frame version stamps; a per-shard latch
+/// serializes everything else (misses, eviction, quarantine, stats) and
+/// with it the shard's policy, and policy work (victim scans, ASB
+/// adaptation) stays confined per shard so the lookup path of other shards
+/// never waits on it. Handles returned by Fetch release their pin through
+/// the owning shard's latch, so they may be dropped from any thread at any
+/// time.
 ///
 /// Read-only construction serves query traffic over a shared DiskManager
 /// image: each shard reads through its own ReadOnlyDiskView (per-shard I/O
@@ -199,8 +182,7 @@ class BufferService final : public core::PageSource {
       override;
 
   /// Batched fetch: optimistic hits are served latch-free first, then the
-  /// remaining pages are grouped by shard and pushed through each shard's
-  /// batched miss pipeline (async submit, out-of-order completion) under
+  /// remaining pages are grouped by shard and fetched in input order under
   /// one latch acquisition per shard. Results land in input order. All of
   /// a batch's handles may be alive at once — callers must leave every
   /// shard (batch size + 1) frames of pin headroom.
@@ -209,10 +191,8 @@ class BufferService final : public core::PageSource {
                   std::vector<core::StatusOr<core::PageHandle>>* out)
       override;
 
-  /// True in both latch modes — the service's batch path amortizes latch
-  /// acquisitions even without the async device, and keeping it
-  /// mode-independent means a mutex/optimistic A/B isolates the latch
-  /// protocol rather than the batching.
+  /// True: the service's batch path amortizes one latch acquisition per
+  /// shard over the batch's misses.
   bool PrefersBatchedReads() const override { return true; }
 
   /// Per-shard pin budget: the page-id hash can land a whole batch on one
@@ -290,7 +270,6 @@ class BufferService final : public core::PageSource {
   size_t shard_count() const { return shards_.size(); }
   size_t total_frames() const { return total_frames_; }
   const std::string& policy_spec() const { return policy_spec_; }
-  LatchMode latch_mode() const { return latch_mode_; }
 
   /// Shard serving `page` (stable hash of the page id).
   size_t ShardOf(storage::PageId page) const;
@@ -367,11 +346,9 @@ class BufferService final : public core::PageSource {
     uint64_t flushed_optimistic_hits = 0;
     uint64_t flushed_optimistic_retries = 0;
     uint64_t flushed_version_conflicts = 0;
-    uint64_t flushed_batch_submits = 0;
-    uint64_t flushed_depth_sum = 0;
-    uint64_t flushed_async_submitted = 0;
-    uint64_t flushed_depth_buckets[storage::AsyncDeviceStats::kDepthBuckets] =
-        {};
+    // FetchBatch accounting (see ShardStats::batch_submits), latch-guarded.
+    uint64_t batch_submits = 0;
+    uint64_t batch_reads = 0;
   };
 
   /// Shared construction body of both constructors.
@@ -405,7 +382,6 @@ class BufferService final : public core::PageSource {
   wal::WalManager* wal_ = nullptr;
   mutable std::mutex device_mu_;
   std::string policy_spec_;
-  LatchMode latch_mode_ = LatchMode::kOptimistic;
   bool collect_metrics_ = false;
   bool asb_shared_ = false;
   bool fuzzy_checkpoints_ = false;

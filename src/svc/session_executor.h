@@ -66,8 +66,8 @@ class CountingSource final : public core::PageSource {
     return fetched;
   }
   // Forwarding override: without it the decorator would degrade every batch
-  // to the base class's sequential-Fetch fallback and quietly disable the
-  // service's batched miss pipeline.
+  // to the base class's sequential-Fetch fallback and quietly lose the
+  // service's one-latch-hold-per-shard batch path.
   void FetchBatch(std::span<const storage::PageId> pages,
                   const core::AccessContext& ctx,
                   std::vector<core::StatusOr<core::PageHandle>>* out)

@@ -36,6 +36,20 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms must come from the same malloc-backed pair, or a
+// library-internal nothrow allocation (std::stable_sort's temporary
+// buffer) is freed by the replaced delete below — an alloc/dealloc
+// mismatch under AddressSanitizer.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -393,7 +407,7 @@ TEST(HistogramQuantileTest, MetricValueOverloadMatchesTheSpanOverload) {
 TEST(ExportTest, PrometheusTextExposition) {
   MetricsRegistry registry;
   registry.GetCounter("svc.latch_waits")->Add(7);
-  registry.GetGauge("io.queue_depth")->Set(2.5);
+  registry.GetGauge("asb.candidate")->Set(2.5);
   Histogram* h = registry.GetHistogram("pin.ns", kBounds);
   h->Observe(1.0);
   h->Observe(3.0);
@@ -403,8 +417,8 @@ TEST(ExportTest, PrometheusTextExposition) {
                       "sdb_svc_latch_waits 7\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("# TYPE sdb_io_queue_depth gauge\n"
-                      "sdb_io_queue_depth 2.5\n"),
+  EXPECT_NE(text.find("# TYPE sdb_asb_candidate gauge\n"
+                      "sdb_asb_candidate 2.5\n"),
             std::string::npos)
       << "dots sanitize to underscores: " << text;
   // Bucket samples are cumulative, closed by +Inf at the observation total.
@@ -540,31 +554,30 @@ TEST(TracerTest, WriteChromeTraceRendersTracksAndSpanNames) {
 
 MetricsSnapshot ServiceSnapshot(uint64_t requests, uint64_t hits,
                                 uint64_t latch_waits, uint64_t disk_reads,
-                                double queue_depth, double candidate) {
+                                double candidate) {
   MetricsRegistry registry;
   registry.GetCounter("buffer.requests")->Add(requests);
   registry.GetCounter("buffer.hits")->Add(hits);
   registry.GetCounter("svc.latch_waits")->Add(latch_waits);
   registry.GetCounter("svc.latch_acquires")->Add(latch_waits * 2);
   registry.GetCounter("svc.disk_reads")->Add(disk_reads);
-  registry.GetGauge("io.queue_depth")->Set(queue_depth);
   registry.GetGauge("asb.candidate")->Set(candidate);
   return registry.Snapshot();
 }
 
 TEST(TelemetryHubTest, FirstSampleOnlyEstablishesTheBase) {
   TelemetryHub hub;
-  hub.Sample(0, ServiceSnapshot(100, 90, 0, 10, 0, 8));
+  hub.Sample(0, ServiceSnapshot(100, 90, 0, 10, 8));
   EXPECT_TRUE(hub.Windows().empty())
       << "startup totals must not become a window";
-  hub.Sample(5000, ServiceSnapshot(300, 250, 4, 50, 2, 12));
+  hub.Sample(5000, ServiceSnapshot(300, 250, 4, 50, 12));
   ASSERT_EQ(hub.Windows().size(), 1u);
 }
 
 TEST(TelemetryHubTest, WindowsCarryCounterDeltasAndGaugeLevels) {
   TelemetryHub hub;
-  hub.Sample(0, ServiceSnapshot(100, 90, 2, 10, 1, 8));
-  hub.Sample(200, ServiceSnapshot(300, 250, 6, 50, 3, 12));
+  hub.Sample(0, ServiceSnapshot(100, 90, 2, 10, 8));
+  hub.Sample(200, ServiceSnapshot(300, 250, 6, 50, 12));
   const std::vector<TelemetryWindow> windows = hub.Windows();
   ASSERT_EQ(windows.size(), 1u);
   const TelemetryWindow& w = windows[0];
@@ -575,14 +588,13 @@ TEST(TelemetryHubTest, WindowsCarryCounterDeltasAndGaugeLevels) {
   EXPECT_EQ(w.latch_waits, 4u);
   EXPECT_EQ(w.latch_acquires, 8u);
   EXPECT_EQ(w.disk_reads, 40u);
-  EXPECT_EQ(w.io_queue_depth, 3u) << "gauges are levels, not deltas";
-  EXPECT_EQ(w.asb_candidate, 12u);
+  EXPECT_EQ(w.asb_candidate, 12u) << "gauges are levels, not deltas";
 }
 
 TEST(TelemetryHubTest, ExplicitCandidateOverridesTheGauge) {
   TelemetryHub hub;
-  hub.Sample(0, ServiceSnapshot(1, 1, 0, 0, 0, 8));
-  hub.Sample(100, ServiceSnapshot(2, 2, 0, 0, 0, 8), /*asb_candidate=*/31);
+  hub.Sample(0, ServiceSnapshot(1, 1, 0, 0, 8));
+  hub.Sample(100, ServiceSnapshot(2, 2, 0, 0, 8), /*asb_candidate=*/31);
   ASSERT_EQ(hub.Windows().size(), 1u);
   EXPECT_EQ(hub.Windows()[0].asb_candidate, 31u);
 }
@@ -593,7 +605,7 @@ TEST(TelemetryHubTest, WantsSampleGatesOnTheClockInterval) {
   TelemetryHub hub(options);
   EXPECT_FALSE(hub.WantsSample(99));
   EXPECT_TRUE(hub.WantsSample(100));
-  hub.Sample(100, ServiceSnapshot(1, 1, 0, 0, 0, 1));
+  hub.Sample(100, ServiceSnapshot(1, 1, 0, 0, 1));
   EXPECT_FALSE(hub.WantsSample(150));
   EXPECT_FALSE(hub.WantsSample(100)) << "no progress, no sample";
   EXPECT_TRUE(hub.WantsSample(200));
@@ -601,13 +613,13 @@ TEST(TelemetryHubTest, WantsSampleGatesOnTheClockInterval) {
 
 TEST(TelemetryHubTest, StaleClocksAndCounterResetsDoNotCorruptTheSeries) {
   TelemetryHub hub;
-  hub.Sample(0, ServiceSnapshot(100, 90, 0, 0, 0, 1));
-  hub.Sample(100, ServiceSnapshot(200, 180, 0, 0, 0, 1));
-  hub.Sample(100, ServiceSnapshot(999, 999, 9, 9, 9, 9));
+  hub.Sample(0, ServiceSnapshot(100, 90, 0, 0, 1));
+  hub.Sample(100, ServiceSnapshot(200, 180, 0, 0, 1));
+  hub.Sample(100, ServiceSnapshot(999, 999, 9, 9, 9));
   EXPECT_EQ(hub.Windows().size(), 1u) << "a non-advancing clock is dropped";
   // A source reset (totals going backwards) saturates at zero instead of
   // wrapping around.
-  hub.Sample(300, ServiceSnapshot(50, 40, 0, 0, 0, 1));
+  hub.Sample(300, ServiceSnapshot(50, 40, 0, 0, 1));
   ASSERT_EQ(hub.Windows().size(), 2u);
   EXPECT_EQ(hub.Windows()[1].requests, 0u);
   EXPECT_EQ(hub.Windows()[1].hits, 0u);
@@ -615,8 +627,8 @@ TEST(TelemetryHubTest, StaleClocksAndCounterResetsDoNotCorruptTheSeries) {
 
 TEST(TelemetryHubTest, TimeSeriesJsonCarriesWindowsAndMarks) {
   TelemetryHub hub;
-  hub.Sample(0, ServiceSnapshot(0, 0, 0, 0, 0, 4));
-  hub.Sample(100, ServiceSnapshot(80, 60, 1, 20, 2, 6));
+  hub.Sample(0, ServiceSnapshot(0, 0, 0, 0, 4));
+  hub.Sample(100, ServiceSnapshot(80, 60, 1, 20, 6));
   hub.Mark(50, "workload_shift");
   const std::string path = ::testing::TempDir() + "/obs_timeseries.jsonl";
   ASSERT_TRUE(WriteTimeSeriesJson(path, hub.Windows(), hub.Marks()));

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -502,6 +504,77 @@ TEST(ServiceFaultTest, ConcurrentFetchesDegradeInsteadOfAborting) {
   const FaultStats faults = service.AggregateFaultStats();
   EXPECT_EQ(faults.injected(),
             total.buffer.io_read_retries + total.buffer.io_permanent_failures);
+}
+
+// A batched miss is a serial fetch: under a bad-range profile (plus
+// transient draws, whose order the per-shard fault streams would expose),
+// FetchBatch must quarantine, fail, retry and count exactly like the same
+// pages fetched one by one with the same pin lifetimes.
+TEST(ServiceFaultTest, BatchedFetchQuarantinesLikeSerialFetches) {
+  DiskManager disk;
+  std::vector<PageId> pages;
+  for (int i = 0; i < 64; ++i) {
+    pages.push_back(test::StagePage(disk, PageType::kData, 0,
+                                    geom::Rect(0, 0, i + 1.0, 1.0)));
+  }
+  const std::optional<FaultProfile> profile = FaultProfile::Parse(
+      "seed=33,transient=0.05,bad=" + std::to_string(pages[9]) + "-" +
+      std::to_string(pages[12]));
+  ASSERT_TRUE(profile.has_value());
+  svc::BufferServiceConfig config;
+  config.total_frames = 48;
+  config.shard_count = 4;
+  config.policy_spec = "LRU";
+  config.fault_profile = *profile;
+  svc::BufferService batched(disk, config);
+  svc::BufferService serial(disk, config);
+
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<StatusOr<PageHandle>> batch_out;
+  std::vector<StatusOr<PageHandle>> serial_out;
+  for (int round = 0; round < 150; ++round) {
+    std::vector<PageId> batch;
+    for (int i = 0; i < 6; ++i) batch.push_back(pages[next() % pages.size()]);
+    const AccessContext ctx{static_cast<uint64_t>(round) + 1};
+    batch_out.clear();
+    serial_out.clear();
+    batched.FetchBatch(batch, ctx, &batch_out);
+    for (const PageId page : batch) {
+      serial_out.push_back(serial.Fetch(page, ctx));
+    }
+    ASSERT_EQ(batch_out.size(), serial_out.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch_out[i].status().code(), serial_out[i].status().code())
+          << "round " << round << " page " << batch[i];
+    }
+  }
+  batch_out.clear();
+  serial_out.clear();
+
+  const svc::ShardStats b = batched.AggregateStats();
+  const svc::ShardStats s = serial.AggregateStats();
+  EXPECT_EQ(b.bad_pages, 3u);
+  EXPECT_GE(b.quarantined_frames, 1u);
+  EXPECT_GT(b.buffer.io_read_retries, 0u) << "transients must have fired";
+  EXPECT_EQ(b.bad_pages, s.bad_pages);
+  EXPECT_EQ(b.quarantined_frames, s.quarantined_frames);
+  EXPECT_EQ(b.usable_frames, s.usable_frames);
+  EXPECT_EQ(b.buffer.requests, s.buffer.requests);
+  EXPECT_EQ(b.buffer.hits, s.buffer.hits);
+  EXPECT_EQ(b.buffer.misses, s.buffer.misses);
+  EXPECT_EQ(b.buffer.evictions, s.buffer.evictions);
+  EXPECT_EQ(b.buffer.io_read_retries, s.buffer.io_read_retries);
+  EXPECT_EQ(b.buffer.io_permanent_failures, s.buffer.io_permanent_failures);
+  EXPECT_EQ(b.buffer.io_quarantined_frames, s.buffer.io_quarantined_frames);
+  EXPECT_EQ(b.io.reads, s.io.reads);
+  EXPECT_EQ(batched.AggregateFaultStats().injected(),
+            serial.AggregateFaultStats().injected());
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "core/policy_factory.h"
 #include "sim/scenario.h"
 #include "svc/buffer_service.h"
+#include "svc_reference.h"
 #include "workload/query_generator.h"
 
 namespace sdb::svc {
@@ -316,54 +317,56 @@ TEST_F(BufferServiceTest, MetricsMergeShardsAndFlushDeltas) {
 
 TEST_F(BufferServiceTest, OptimisticSerialRunIsBitIdenticalToMutex) {
   // The deferred-event protocol's core promise: executed serially, the
-  // optimistic service replays policy events in arrival order and therefore
-  // produces the exact eviction/hit sequence of the blocking-mutex service.
+  // service replays policy events in arrival order and therefore produces
+  // the exact eviction/hit sequence of plain private buffers, one per
+  // shard, fed the same per-shard stream (what a blocking mutex around each
+  // shard would execute).
   const std::vector<PageId> pages = AllPages();
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 4;
   config.policy_spec = "ASB";
-  config.latch_mode = LatchMode::kMutex;
-  BufferService mutex_service(disk(), config);
-  config.latch_mode = LatchMode::kOptimistic;
-  BufferService optimistic_service(disk(), config);
-  EXPECT_EQ(optimistic_service.latch_mode(), LatchMode::kOptimistic);
+  BufferService service(disk(), config);
+  test::PrivateShardReference reference(disk(), service);
 
   uint64_t query = 0;
   std::vector<core::StatusOr<core::PageHandle>> scratch;
+  std::vector<core::PageHandle> held;
   for (size_t round = 0; round < 3; ++round) {
     for (size_t i = 0; i < pages.size(); ++i) {
       const core::AccessContext ctx{++query};
-      // Mix single fetches with small batches (same calls on both sides).
+      // Mix single fetches with small batches whose handles live until the
+      // batch ends (on both sides).
       if (i % 7 == 0 && i + 3 <= pages.size()) {
         const std::span<const PageId> batch(&pages[i], 3);
-        for (BufferService* service : {&mutex_service, &optimistic_service}) {
-          scratch.clear();
-          service->FetchBatch(batch, ctx, &scratch);
-          for (const auto& handle : scratch) ASSERT_TRUE(handle.ok());
+        scratch.clear();
+        service.FetchBatch(batch, ctx, &scratch);
+        for (const auto& handle : scratch) ASSERT_TRUE(handle.ok());
+        for (const PageId page : batch) {
+          held.push_back(reference.Fetch(page, ctx));
         }
+        scratch.clear();
+        held.clear();
         i += 2;
       } else {
-        mutex_service.FetchOrDie(pages[i], ctx).Release();
-        optimistic_service.FetchOrDie(pages[i], ctx).Release();
-        // Immediate re-touch: a guaranteed hit, served latch-free on the
-        // optimistic side (a pure cyclic scan would never hit at all).
+        service.FetchOrDie(pages[i], ctx).Release();
+        reference.Fetch(pages[i], ctx).Release();
+        // Immediate re-touch: a guaranteed hit, served latch-free by the
+        // service (a pure cyclic scan would never hit at all).
         const core::AccessContext again{++query};
-        mutex_service.FetchOrDie(pages[i], again).Release();
-        optimistic_service.FetchOrDie(pages[i], again).Release();
+        service.FetchOrDie(pages[i], again).Release();
+        reference.Fetch(pages[i], again).Release();
       }
     }
   }
-  scratch.clear();
-  const ShardStats mutex_stats = mutex_service.AggregateStats();
-  const ShardStats optimistic_stats = optimistic_service.AggregateStats();
-  EXPECT_EQ(optimistic_stats.buffer.requests, mutex_stats.buffer.requests);
-  EXPECT_EQ(optimistic_stats.buffer.hits, mutex_stats.buffer.hits);
-  EXPECT_EQ(optimistic_stats.buffer.misses, mutex_stats.buffer.misses);
-  EXPECT_EQ(optimistic_stats.buffer.evictions, mutex_stats.buffer.evictions);
-  EXPECT_EQ(optimistic_stats.io.reads, mutex_stats.io.reads);
-  EXPECT_GT(optimistic_stats.optimistic_hits, 0u);
-  EXPECT_EQ(mutex_stats.optimistic_hits, 0u);
+  const ShardStats stats = service.AggregateStats();
+  const ShardStats expected = reference.Stats();
+  EXPECT_EQ(stats.buffer.requests, expected.buffer.requests);
+  EXPECT_EQ(stats.buffer.hits, expected.buffer.hits);
+  EXPECT_EQ(stats.buffer.misses, expected.buffer.misses);
+  EXPECT_EQ(stats.buffer.evictions, expected.buffer.evictions);
+  EXPECT_EQ(stats.io.reads, expected.io.reads);
+  EXPECT_GT(stats.optimistic_hits, 0u);
 }
 
 TEST_F(BufferServiceTest, FetchBatchDeliversInputOrderAndCountsEachAccess) {

@@ -3,8 +3,8 @@
 // re-logging after a redirty), typed Evict refusals, the dirty-pin
 // lifecycle edges around quarantine, the writable sharded BufferService
 // (New / Commit / Checkpoint across shards), a churn-then-crash-then-
-// recover round trip through the R-tree, and the optimistic-vs-mutex
-// FetchBatch serial-equality regression.
+// recover round trip through the R-tree, and the FetchBatch
+// serial-equality regression against private per-shard buffers.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,7 @@
 #include "storage/fault_injection.h"
 #include "svc/buffer_service.h"
 #include "svc/flush_coordinator.h"
+#include "svc_reference.h"
 #include "test_util.h"
 #include "wal/recovery.h"
 #include "wal/wal.h"
@@ -827,13 +828,13 @@ TEST(WritableServiceTest, BatchPinBudgetLeavesEvictionHeadroom) {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite: optimistic FetchBatch must preserve per-shard access order
+// Optimistic FetchBatch must preserve per-shard access order
 
-/// Serial-equality regression: one thread, identical batch sequences, a
-/// mutex service and an optimistic service must report bit-identical
-/// hit/miss counts. The optimistic batch path probes hits latch-free
-/// first; if that probe reordered a shard's accesses (hits before misses),
-/// LRU state — and with it every subsequent eviction — would diverge.
+/// Serial-equality regression: one thread, one batch stream through the
+/// service and through private per-shard buffers must report bit-identical
+/// hit/miss counts. The service's batch path probes hits latch-free first;
+/// if that probe reordered a shard's accesses (hits before misses), LRU
+/// state — and with it every subsequent eviction — would diverge.
 TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
   DiskManager disk;
   std::vector<PageId> pages;
@@ -842,40 +843,40 @@ TEST(WritableServiceTest, OptimisticBatchMatchesMutexHitForHitSerially) {
                                     geom::Rect(0, 0, 1.0 + i, 1.0)));
   }
 
-  auto run = [&](svc::LatchMode mode) {
-    svc::BufferServiceConfig config = WritableConfig(2, 16);
-    config.latch_mode = mode;
-    svc::BufferService service(disk, config);
-    const AccessContext ctx{5};
-    uint64_t state = 0x9E3779B97F4A7C15ull;
-    auto next = [&state] {
-      state += 0x9E3779B97F4A7C15ull;
-      uint64_t z = state;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      return z ^ (z >> 31);
-    };
-    std::vector<core::StatusOr<PageHandle>> out;
-    for (int round = 0; round < 200; ++round) {
-      std::vector<PageId> batch;
-      for (int i = 0; i < 6; ++i) {
-        batch.push_back(pages[next() % pages.size()]);
-      }
-      out.clear();
-      service.FetchBatch(batch, ctx, &out);
-      for (auto& handle : out) EXPECT_TRUE(handle.ok());
-      out.clear();  // release every pin before the next batch
-    }
-    const svc::ShardStats stats = service.AggregateStats();
-    return std::pair<uint64_t, uint64_t>(stats.buffer.hits,
-                                         stats.buffer.misses);
+  svc::BufferService service(disk, WritableConfig(2, 16));
+  test::PrivateShardReference reference(disk, service);
+  const AccessContext ctx{5};
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&state] {
+    state += 0x9E3779B97F4A7C15ull;
+    uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
   };
-
-  const auto mutex_counts = run(svc::LatchMode::kMutex);
-  const auto optimistic_counts = run(svc::LatchMode::kOptimistic);
-  EXPECT_EQ(optimistic_counts.first, mutex_counts.first)
+  std::vector<core::StatusOr<PageHandle>> out;
+  std::vector<PageHandle> held;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<PageId> batch;
+    for (int i = 0; i < 6; ++i) {
+      batch.push_back(pages[next() % pages.size()]);
+    }
+    out.clear();
+    service.FetchBatch(batch, ctx, &out);
+    for (auto& handle : out) EXPECT_TRUE(handle.ok());
+    for (const PageId page : batch) held.push_back(reference.Fetch(page, ctx));
+    out.clear();  // release every pin before the next batch
+    held.clear();
+  }
+  const svc::ShardStats stats = service.AggregateStats();
+  const svc::ShardStats expected = reference.Stats();
+  EXPECT_EQ(stats.buffer.requests, expected.buffer.requests);
+  EXPECT_EQ(stats.buffer.hits, expected.buffer.hits)
       << "identical serial batch streams must hit identically";
-  EXPECT_EQ(optimistic_counts.second, mutex_counts.second);
+  EXPECT_EQ(stats.buffer.misses, expected.buffer.misses);
+  EXPECT_EQ(stats.buffer.evictions, expected.buffer.evictions);
+  EXPECT_EQ(stats.io.reads, expected.io.reads);
+  EXPECT_GT(stats.optimistic_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
