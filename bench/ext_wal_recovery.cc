@@ -26,8 +26,8 @@
 // Knobs: SDB_WAL_THREADS (committers, default 4), SDB_WAL_COMMITS
 // (commits per thread, default 250), SDB_WAL_MIX_OPS (mixed-workload
 // operations per cell, default 1500), SDB_WAL_CHURN_OPS (write-back cell
-// operations, default 24000), SDB_REDO_WORKERS is deliberately ignored
-// here (the redo sweep sets worker counts explicitly).
+// operations, default 24000). The wal_recovery cells replay with one redo
+// worker; wal_redo sets its worker counts explicitly.
 
 #include <chrono>
 #include <cstdint>

@@ -385,11 +385,8 @@ class BufferManager : public FrameMetaSource, public PageSource {
   EvictStatus Evict(storage::PageId page);
 
   /// Dirty-frame census: resident frames whose bytes differ from the data
-  /// device. `min_rec_lsn` is the smallest recovery LSN among them (0 when
-  /// none are dirty or no WAL is attached) — the log prefix a redo pass
-  /// would need, which sizes the recovery-time-vs-dirty-set bench axis.
+  /// device.
   size_t dirty_count() const;
-  uint64_t min_rec_lsn() const;
 
   /// Switches watermark-driven background write-back on or off. Changes
   /// only eviction's victim preference and unlocks the harvest API below —
@@ -405,7 +402,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// non-quarantined frames whose current bytes are already logged
   /// (wal_logged) — flushing only those never needs a steal commit, the
   /// flusher's steal-avoidance invariant. Ordered oldest rec_lsn first, so
-  /// flushing them advances the checkpoint low-water mark fastest. Caller
+  /// the pages whose redo reaches furthest back in the log go first. Caller
   /// holds the external latch. Appends to `out`, returns the count added.
   size_t HarvestFlushCandidates(size_t max, std::vector<DirtyCandidate>* out);
 
@@ -471,28 +468,18 @@ class BufferManager : public FrameMetaSource, public PageSource {
   storage::PageMeta GetMeta(FrameId frame) const override;
 
   /// FrameMetaSource: bumped whenever a frame's cached metadata may have
-  /// changed (page load, MarkDirty, dirty unpin). With the cache disabled
-  /// this reports 0 ("assume changed") so the policies' criterion caches
-  /// are defeated too and the A/B measurement covers the whole path.
+  /// changed (page load, MarkDirty, dirty unpin).
   uint64_t MetaVersion(FrameId frame) const override {
-    return meta_cache_enabled_ ? meta_versions_[frame] : 0;
+    return meta_versions_[frame];
   }
 
-  /// FrameMetaSource: the raw version array for scan hoisting (nullptr when
-  /// the cache is disabled, defeating the policies' criterion caches too).
+  /// FrameMetaSource: the raw version array for scan hoisting.
   const uint64_t* MetaVersionArray() const override {
-    return meta_cache_enabled_ ? meta_versions_.data() : nullptr;
+    return meta_versions_.data();
   }
 
-  /// Disables (or re-enables) the metadata cache, forcing every GetMeta back
-  /// to a full header decode — the pre-cache behaviour, kept for A/B
-  /// measurement in micro benches. Not for production use.
-  void set_meta_cache_enabled(bool enabled) { meta_cache_enabled_ = enabled; }
-
-  /// Header decodes performed on behalf of GetMeta. With the cache enabled
-  /// this counts only re-decodes after an in-place update (steady-state
-  /// victim scans decode nothing); with the cache disabled every GetMeta
-  /// call decodes.
+  /// Header decodes performed on behalf of GetMeta: only re-decodes after
+  /// an in-place update (steady-state victim scans decode nothing).
   uint64_t header_decodes() const { return header_decodes_; }
 
   /// Publishes the end-of-run aggregate counters (BufferStats, header
@@ -553,10 +540,10 @@ class BufferManager : public FrameMetaSource, public PageSource {
   void QuarantineFrame(FrameId frame, storage::PageId page);
 
   /// Write-side escalation: detaches the (dirty, wal_logged) page from the
-  /// tables, pins the redo low-water mark so log truncation cannot drop the
-  /// page's only current image, remembers the page as bad, then hands the
-  /// frame to QuarantineFrame. Caller holds the latch (and, in concurrent
-  /// mode, the frame's version lock with a zero pin count).
+  /// tables, remembers the page as bad (its only current image is in the
+  /// WAL), then hands the frame to QuarantineFrame. Caller holds the latch
+  /// (and, in concurrent mode, the frame's version lock with a zero pin
+  /// count).
   void QuarantineWriteFailure(FrameId frame);
 
   /// Registers the io.* counters in the collector on first fault — lazily,
@@ -668,7 +655,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::vector<uint64_t> meta_versions_;
   mutable std::vector<MetaCacheEntry> meta_cache_;
   mutable uint64_t header_decodes_ = 0;
-  bool meta_cache_enabled_ = true;
   // Observability (all nullptr when no collector is attached or SDB_OBS is
   // off): eviction counters/events are recorded eagerly, aggregate totals
   // go through FlushObservability.
@@ -687,10 +673,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   // Write-side io.* counters, registered lazily by EnsureWriteObs.
   obs::Counter* obs_io_write_retries_ = nullptr;
   obs::Counter* obs_io_write_quarantined_ = nullptr;
-  // Smallest rec_lsn among write-quarantined pages (0 = none): their only
-  // current image lives in the WAL, so min_rec_lsn() — and with it fuzzy
-  // checkpoint truncation — must never advance past it.
-  uint64_t write_quarantined_rec_lsn_floor_ = 0;
   uint64_t flushed_header_decodes_ = 0;
   // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
   bool concurrent_ = false;

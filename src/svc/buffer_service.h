@@ -93,16 +93,6 @@ struct BufferServiceConfig {
   size_t flusher_batch_pages = 16;
   /// Idle poll cadence of the flusher between commit nudges.
   uint32_t flusher_idle_us = 200;
-  /// Fuzzy checkpoints: Checkpoint() appends a record carrying the redo
-  /// low-water mark (min rec_lsn over all shards) instead of forcing every
-  /// dirty page to the device first — so it runs concurrently with
-  /// mutators. OFF preserves the strict force-checkpoint behaviour (and
-  /// its "recovery after checkpoint replays nothing" guarantee).
-  bool fuzzy_checkpoints = false;
-  /// After each durable fuzzy checkpoint, zero whole WAL segments below
-  /// the redo horizon (wal::WalManager::TruncateBelow), bounding log
-  /// growth. Requires fuzzy_checkpoints.
-  bool truncate_wal = false;
 };
 
 /// Counters of one shard (or the shard-summed aggregate).
@@ -216,13 +206,9 @@ class BufferService final : public core::PageSource {
   /// read-only service.
   core::Status Commit(const core::AccessContext& ctx = {});
 
-  /// Commit, then append one durable checkpoint record covering the whole
-  /// service. Strict mode (the default) first forces every shard's dirty
-  /// frames to the data device; fuzzy mode instead scans the shards —
-  /// one latch at a time, concurrently with mutators — for the redo
-  /// low-water mark, stamps it into the record, and leaves the dirty pages
-  /// to the background flusher. With truncate_wal the fuzzy path then
-  /// zeros the dead log segments below the horizon.
+  /// Commit, force every shard's dirty frames to the data device (all
+  /// shard latches held), then append one durable checkpoint record
+  /// covering the whole service: recovery replays nothing before it.
   core::Status Checkpoint(const core::AccessContext& ctx = {});
 
   /// One background write-back round over shard `s` (writable service with
@@ -384,8 +370,6 @@ class BufferService final : public core::PageSource {
   std::string policy_spec_;
   bool collect_metrics_ = false;
   bool asb_shared_ = false;
-  bool fuzzy_checkpoints_ = false;
-  bool truncate_wal_ = false;
   core::AsbSharedTuning asb_tuning_;
   /// DegradedState of the write path, stored widened so the CAS in
   /// EnterDegraded stays on a plain integer. kHealthy until the first

@@ -34,7 +34,8 @@ enum class RecordType : uint8_t {
   /// recovery can bound its byte-exactness check to committed pages.
   kCommit = 2,
   /// All committed images up to here are on the data device; redo starts
-  /// after the last one of these. `page` carries the device page count.
+  /// after the last one of these. `page` carries the device page count;
+  /// the payload is empty (recovery refuses one that is not).
   kCheckpoint = 3,
 };
 
@@ -176,20 +177,6 @@ inline std::optional<ParsedRecord> ParseRecordAt(
   record.payload = {base + RecordHeader::kSize, record.header.length};
   record.end = offset + total;
   return record;
-}
-
-/// Payload size of a fuzzy checkpoint record: one little-endian u64 redo
-/// low-water mark (the min rec_lsn across dirty frames when the checkpoint
-/// scanned them). A strict checkpoint has an empty payload.
-inline constexpr size_t kCheckpointRedoPayloadSize = 8;
-
-/// Redo low-water mark carried by a fuzzy checkpoint record, or nullopt for
-/// a strict checkpoint (empty payload), whose redo horizon is the record's
-/// own end — every committed image before it is already on the data device.
-inline std::optional<Lsn> CheckpointRedoLsn(const ParsedRecord& record) {
-  if (record.header.type != RecordType::kCheckpoint) return std::nullopt;
-  if (record.payload.size() < kCheckpointRedoPayloadSize) return std::nullopt;
-  return detail::GetU64(record.payload.data());
 }
 
 }  // namespace sdb::wal

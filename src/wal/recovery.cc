@@ -1,7 +1,7 @@
 #include "wal/recovery.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,44 +22,59 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-size_t ResolveRedoWorkers(size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("SDB_REDO_WORKERS");
-      env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 1;
-}
-
-/// Locates the first valid record of a log whose head segments were
-/// truncated (zeroed). Returns 0 when the stream starts with a record or
-/// with arbitrary garbage: only a zero *prefix* is evidence of truncation,
-/// so a torn record in the middle of an untruncated log can never
-/// resurrect the records behind it.
-Lsn FindStartLsn(std::span<const std::byte> stream) {
-  if (ParseRecordAt(stream, 0).has_value()) return 0;
-  if (stream.empty() || stream[0] != std::byte{0}) return 0;
-  size_t zeros = 0;
-  while (zeros < stream.size() && stream[zeros] == std::byte{0}) ++zeros;
-  if (zeros == stream.size()) return 0;
-  // A record straddling the truncation boundary leaves at most one
-  // record's worth of dead bytes past the zeros; scan that bounded window
-  // for a self-validating record (magic + LSN-equals-offset + CRC).
-  const size_t limit = std::min(
-      stream.size(), zeros + RecordHeader::kSize + RecordHeader::kMaxPayload);
-  for (size_t at = zeros; at < limit; ++at) {
-    if (ParseRecordAt(stream, at).has_value()) return at;
-  }
-  return 0;
-}
-
 /// One committed page image selected for replay; `bytes` aliases the
 /// scanned stream.
 struct ReplayImage {
   storage::PageId page = storage::kInvalidPageId;
   std::span<const std::byte> bytes;
 };
+
+/// Writes `images` onto `data`. Allocation runs first, on the caller, up to
+/// the highest replayed page; the writes are then partitioned by page-id
+/// hash so each page's images land on exactly one worker, in log order —
+/// which makes the device bytes identical for any worker count or
+/// scheduling. One worker writes inline through Write; more run a thread
+/// pool through WriteConcurrent.
+core::Status Replay(std::span<const ReplayImage> images,
+                    storage::PageDevice& data, size_t workers,
+                    uint64_t* replayed) {
+  storage::PageId max_page = 0;
+  for (const ReplayImage& image : images) {
+    max_page = std::max(max_page, image.page);
+  }
+  while (data.page_count() <= max_page) {
+    const core::StatusOr<storage::PageId> allocated = data.Allocate();
+    if (!allocated.ok()) return allocated.status();
+  }
+  std::vector<core::Status> statuses(workers, core::Status::Ok());
+  std::vector<uint64_t> counts(workers, 0);
+  const auto run = [&](size_t w) {
+    for (const ReplayImage& image : images) {
+      if (Mix64(image.page) % workers != w) continue;
+      const core::Status status =
+          workers == 1 ? data.Write(image.page, image.bytes)
+                       : data.WriteConcurrent(image.page, image.bytes);
+      if (!status.ok()) {
+        statuses[w] = status;
+        return;
+      }
+      ++counts[w];
+    }
+  };
+  if (workers == 1) {
+    run(0);
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) pool.emplace_back(run, w);
+    for (std::thread& worker : pool) worker.join();
+  }
+  for (size_t w = 0; w < workers; ++w) {
+    if (!statuses[w].ok()) return statuses[w];
+    *replayed += counts[w];
+  }
+  return core::Status::Ok();
+}
 
 }  // namespace
 
@@ -82,14 +97,13 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
 
   // Pass 1: walk the valid prefix. The scan stops at the first record that
   // fails validation — magic, type, length bound, LSN-equals-offset, or
-  // CRC — which is how a torn flush manifests. Records are only *located*
-  // here; whether an image replays is decided by the redo horizon below.
+  // CRC — which is how a torn flush manifests. The redo horizon is the end
+  // of the last checkpoint record: everything committed before it is
+  // already on the data device.
   RecoveryResult result;
-  result.start_lsn = FindStartLsn(stream);
-  Lsn last_commit_start = kNullLsn;
   bool any_commit = false;
-  Lsn redo_horizon = result.start_lsn;
-  Lsn offset = result.start_lsn;
+  Lsn redo_horizon = 0;
+  Lsn offset = 0;
   while (true) {
     const std::optional<ParsedRecord> record = ParseRecordAt(stream, offset);
     if (!record.has_value()) break;
@@ -98,26 +112,27 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
       case RecordType::kPageImage:
         break;
       case RecordType::kCommit:
-        last_commit_start = offset;
         any_commit = true;
         result.last_commit_lsn = offset;
         result.committed_page_count = record->header.page;
         break;
-      case RecordType::kCheckpoint: {
+      case RecordType::kCheckpoint:
+        // A checkpoint that carries a payload makes a claim this format
+        // cannot read (e.g. a redo horizon below the record); treating it
+        // as a plain checkpoint would skip images the device may lack.
+        if (!record->payload.empty()) {
+          return core::Status::Unimplemented(
+              "checkpoint record at lsn " + std::to_string(offset) +
+              " carries a payload; this log format writes none");
+        }
         result.last_checkpoint_lsn = offset;
         result.committed_page_count = record->header.page;
-        // A fuzzy checkpoint carries its redo low-water mark (min rec_lsn
-        // over dirty frames at scan time); a strict one (empty payload)
-        // asserts everything committed before it is on the data device.
-        const std::optional<Lsn> fuzzy = CheckpointRedoLsn(*record);
-        redo_horizon = fuzzy.has_value() ? *fuzzy : record->end;
+        redo_horizon = record->end;
         break;
-      }
     }
     offset = record->end;
   }
   result.valid_prefix = offset;
-  result.redo_lsn = redo_horizon;
   // A clean end leaves only zero padding behind; anything else in the
   // allocated log pages means a record was torn mid-flush.
   for (size_t i = offset; i < stream.size(); ++i) {
@@ -128,89 +143,35 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
   }
 
   // Pass 2: redo. Replay every committed image in [redo horizon, last
-  // commit) in log order. Images before the horizon are already on the data
-  // device (strict checkpoint) or will be re-covered by one that is not
-  // (fuzzy horizon = min rec_lsn); images after the last commit record are
-  // uncommitted and must not reach it.
-  if (any_commit) {
-    obs::Counter* replayed_metric =
-        collector == nullptr
-            ? nullptr
-            : collector->metrics().GetCounter("wal.recovery_replayed");
-    std::vector<ReplayImage> images;
-    offset = result.start_lsn;
-    while (offset < result.valid_prefix) {
-      const std::optional<ParsedRecord> record = ParseRecordAt(stream, offset);
-      SDB_CHECK(record.has_value());  // pass 1 validated this prefix
-      if (record->header.type == RecordType::kPageImage &&
-          offset >= redo_horizon && offset < last_commit_start) {
-        images.push_back(
-            {static_cast<storage::PageId>(record->header.page),
-             record->payload});
-      }
-      offset = record->end;
+  // commit) in log order (an empty range without a commit). Images after
+  // the last commit record are uncommitted and must not reach the data
+  // device.
+  std::vector<ReplayImage> images;
+  for (offset = redo_horizon; offset < result.last_commit_lsn;) {
+    const std::optional<ParsedRecord> record = ParseRecordAt(stream, offset);
+    SDB_CHECK(record.has_value());  // pass 1 validated this prefix
+    if (record->header.type == RecordType::kPageImage) {
+      images.push_back({static_cast<storage::PageId>(record->header.page),
+                        record->payload});
     }
-
+    offset = record->end;
+  }
+  if (!images.empty()) {
     size_t workers = 1;
-    if (!images.empty() && data.SupportsConcurrentWrites()) {
-      workers = std::min(ResolveRedoWorkers(options.redo_workers),
-                         images.size());
+    if (data.SupportsConcurrentWrites()) {
+      workers = std::clamp<size_t>(options.redo_workers, 1, images.size());
     }
-    result.redo_workers = std::max<size_t>(workers, 1);
-
-    if (workers <= 1) {
-      // Serial replay, page allocation interleaved with the writes —
-      // byte-for-byte (and stats-for-stats) the single-threaded path.
-      for (const ReplayImage& image : images) {
-        while (data.page_count() <= image.page) {
-          const core::StatusOr<storage::PageId> allocated = data.Allocate();
-          if (!allocated.ok()) return allocated.status();
-        }
-        const core::Status status = data.Write(image.page, image.bytes);
-        if (!status.ok()) return status;
-        ++result.replayed_pages;
-        if (replayed_metric != nullptr) replayed_metric->Add();
-      }
-    } else {
-      // Parallel replay: allocate serially up front, then partition images
-      // by page-id hash so each page's images land on exactly one worker,
-      // in log order — which makes the result byte-identical to serial
-      // regardless of worker count or scheduling.
-      storage::PageId max_page = 0;
-      for (const ReplayImage& image : images) {
-        max_page = std::max(max_page, image.page);
-      }
-      while (data.page_count() <= max_page) {
-        const core::StatusOr<storage::PageId> allocated = data.Allocate();
-        if (!allocated.ok()) return allocated.status();
-      }
-      std::vector<core::Status> statuses(workers, core::Status::Ok());
-      std::vector<uint64_t> replayed(workers, 0);
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          for (const ReplayImage& image : images) {
-            if (Mix64(image.page) % workers != w) continue;
-            const core::Status status =
-                data.WriteConcurrent(image.page, image.bytes);
-            if (!status.ok()) {
-              statuses[w] = status;
-              return;
-            }
-            ++replayed[w];
-          }
-        });
-      }
-      for (std::thread& worker : pool) worker.join();
-      for (size_t w = 0; w < workers; ++w) {
-        if (!statuses[w].ok()) return statuses[w];
-        result.replayed_pages += replayed[w];
-      }
-      if (replayed_metric != nullptr) {
-        replayed_metric->Add(result.replayed_pages);
-      }
+    result.redo_workers = workers;
+    if (core::Status status =
+            Replay(images, data, workers, &result.replayed_pages);
+        !status.ok()) {
+      return status;
     }
+  }
+  if (any_commit && collector != nullptr) {
+    collector->metrics()
+        .GetCounter("wal.recovery_replayed")
+        ->Add(result.replayed_pages);
   }
 
   span.set_payload(result.replayed_pages);

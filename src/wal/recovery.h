@@ -13,14 +13,13 @@ namespace sdb::wal {
 
 /// Knobs of one Recover call.
 struct RecoveryOptions {
-  /// Worker threads for the replay pass. 0 (the default) reads
-  /// SDB_REDO_WORKERS from the environment, falling back to 1. With 1 the
-  /// replay runs serially on the calling thread, byte-for-byte the legacy
-  /// path. More than one partitions committed images by page-id hash across
-  /// a thread pool — byte-identical to serial because each page's images
-  /// all land on one worker, in log order — and requires the data device to
-  /// answer SupportsConcurrentWrites(); otherwise the replay stays serial.
-  size_t redo_workers = 0;
+  /// Worker threads for the replay pass. 1 (the default) replays on the
+  /// calling thread. More than one partitions committed images by page-id
+  /// hash across a thread pool — byte-identical to one worker because each
+  /// page's images all land on one worker, in log order — and requires the
+  /// data device to answer SupportsConcurrentWrites(); otherwise the replay
+  /// stays on the calling thread.
+  size_t redo_workers = 1;
 };
 
 /// Outcome of one redo pass.
@@ -43,15 +42,6 @@ struct RecoveryResult {
   /// True when invalid bytes followed the valid prefix within the allocated
   /// log pages — the signature of a torn tail, as opposed to a clean end.
   bool torn_tail = false;
-  /// Offset of the first valid record. Nonzero only after segment
-  /// truncation zeroed a log prefix: the scan skips the zeros plus the
-  /// bounded garbage window a record straddling the truncation boundary
-  /// can leave behind.
-  Lsn start_lsn = kNullLsn;
-  /// Redo horizon the replay used: committed images at or past this offset
-  /// were replayed. The last checkpoint's carried redo_lsn (fuzzy) or its
-  /// record end (strict); start_lsn when the log holds no checkpoint.
-  Lsn redo_lsn = kNullLsn;
   /// Threads that ran the replay pass (1 = serial on the caller).
   size_t redo_workers = 1;
 };
@@ -65,7 +55,9 @@ struct RecoveryResult {
 /// identical bytes (and re-stamps the same CRC sidecar).
 ///
 /// `log` is read page-by-page (counting toward its stats); pages missing
-/// from `data` are allocated before being replayed.
+/// from `data` are allocated before being replayed. A checkpoint record
+/// with a payload is a shape this log format does not write; the call then
+/// fails with kUnimplemented before touching `data`.
 core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
                                        storage::PageDevice& data,
                                        const core::AccessContext& ctx = {},

@@ -226,60 +226,6 @@ void WalManager::BackoffBeforeRetry(uint32_t failures) const {
   std::this_thread::sleep_for(std::chrono::microseconds(ceiling + jitter));
 }
 
-core::Status WalManager::TruncateBelow(Lsn lsn) {
-  std::lock_guard<std::mutex> file_lock(file_mu_);
-  Lsn durable = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!sticky_error_.ok()) return sticky_error_;
-    durable = durable_lsn_;
-  }
-  const uint64_t segment_bytes = options_.segment_pages * page_size_;
-  const Lsn bound = std::min(lsn, durable);
-  const Lsn target = bound - bound % segment_bytes;
-  if (target <= truncated_lsn_) return core::Status::Ok();
-
-  // Zero whole segments in ascending page order: a crash at any point
-  // leaves zeros in [0, k) for some k and intact records past it — the
-  // zero-prefix shape recovery's start discovery expects.
-  std::vector<std::byte> zero(page_size_, std::byte{0});
-  const auto first = static_cast<storage::PageId>(truncated_lsn_ / page_size_);
-  const auto last = static_cast<storage::PageId>(target / page_size_);
-  for (storage::PageId p = first; p < last; ++p) {
-    // Transient zeroing failures retry with the flush backoff policy; only
-    // a persistent failure turns sticky. (Losing a zeroing write in a crash
-    // is harmless — recovery just replays records the checkpoint already
-    // covered — but a device that cannot be written at all is the same
-    // terminal condition a failed flush is.)
-    core::Status status = core::Status::Ok();
-    for (uint32_t attempt = 0;; ++attempt) {
-      status = device_->Write(p, zero);
-      if (status.ok()) break;
-      if (!status.retryable() || attempt >= options_.max_flush_retries) break;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.write_retries;
-      }
-      BackoffBeforeRetry(attempt);
-    }
-    if (!status.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        sticky_error_ = status;
-      }
-      durable_cv_.notify_all();
-      space_cv_.notify_all();
-      writer_cv_.notify_all();
-      return status;
-    }
-  }
-  const uint64_t segments = (target - truncated_lsn_) / segment_bytes;
-  truncated_lsn_ = target;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.segments_truncated += segments;
-  return core::Status::Ok();
-}
-
 void WalManager::WriterLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
@@ -375,23 +321,13 @@ core::StatusOr<Lsn> WalManager::CommitPages(
 }
 
 core::StatusOr<Lsn> WalManager::AppendCheckpoint(
-    uint64_t data_page_count, const core::AccessContext& ctx,
-    std::optional<Lsn> redo_lsn) {
+    uint64_t data_page_count, const core::AccessContext& ctx) {
   obs::ScopedSpan span(ctx.span, obs::SpanKind::kCheckpoint);
-  span.set_payload(redo_lsn.value_or(kNullLsn));
   Lsn end = kNullLsn;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!sticky_error_.ok()) return sticky_error_;
-    std::byte payload[kCheckpointRedoPayloadSize];
-    std::span<const std::byte> body;
-    if (redo_lsn.has_value()) {
-      // Fuzzy checkpoint: carry the redo low-water mark instead of
-      // asserting that the data device is clean.
-      detail::PutU64(payload, *redo_lsn);
-      body = {payload, sizeof(payload)};
-    }
-    AppendLocked(RecordType::kCheckpoint, data_page_count, body);
+    AppendLocked(RecordType::kCheckpoint, data_page_count, {});
     end = next_lsn_;
     ++stats_.checkpoints;
   }
@@ -440,11 +376,6 @@ Lsn WalManager::next_lsn() const {
 Lsn WalManager::durable_lsn() const {
   std::lock_guard<std::mutex> lock(mu_);
   return durable_lsn_;
-}
-
-Lsn WalManager::truncated_lsn() const {
-  std::lock_guard<std::mutex> lock(file_mu_);
-  return truncated_lsn_;
 }
 
 core::Status WalManager::sticky_error() const {

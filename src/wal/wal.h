@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -59,7 +58,6 @@ struct WalStats {
   uint64_t grouped_commits = 0;  ///< commits covered by those fsyncs
   uint64_t bytes_appended = 0;
   uint64_t segments_opened = 0;
-  uint64_t segments_truncated = 0;  ///< whole segments zeroed by TruncateBelow
   uint64_t write_retries = 0;  ///< flush attempts re-run after retryable faults
 };
 
@@ -86,11 +84,11 @@ struct PageImageRef {
 ///
 /// Thread-safe, with two latches: the queue latch `mu_` covers the append
 /// tail, LSN bookkeeping and the commit queue, while the file latch
-/// `file_mu_` covers device writes (flushes and truncation). A flush claims
-/// the tail under `mu_`, writes it out holding only `file_mu_`, then
-/// re-acquires `mu_` to publish durability — so committers keep appending
-/// (and the queue keeps draining) while a flush or checkpoint is writing
-/// pages. Lock order is file_mu_ -> mu_; mu_ is never held across a device
+/// `file_mu_` covers device writes (flushes). A flush claims the tail
+/// under `mu_`, writes it out holding only `file_mu_`, then re-acquires
+/// `mu_` to publish durability — so committers keep appending (and the
+/// queue keeps draining) while a flush or checkpoint is writing pages.
+/// Lock order is file_mu_ -> mu_; mu_ is never held across a device
 /// write. The writer thread (group-commit mode only) is joined by
 /// Shutdown()/the destructor, which then runs one final flush.
 class WalManager {
@@ -117,26 +115,11 @@ class WalManager {
                                   const core::AccessContext& ctx,
                                   bool forced_steal = false);
 
-  /// Appends a checkpoint record and makes it durable. Without a `redo_lsn`
-  /// the record is *strict* (empty payload): the caller must have forced
-  /// every committed dirty page to the data device first, and recovery
-  /// redoes nothing before it. With one the checkpoint is *fuzzy*: the
-  /// record carries that redo low-water mark (a value of 0 is legal and
-  /// just means "replay everything"), dirty pages stay in the pool, and
-  /// recovery replays committed images from `redo_lsn` on. Fuzzy
-  /// checkpoints run concurrently with mutators and license
-  /// TruncateBelow(redo_lsn) once durable.
+  /// Appends a checkpoint record (empty payload) and makes it durable. The
+  /// caller must have forced every committed dirty page to the data device
+  /// first: recovery redoes nothing before the record.
   core::StatusOr<Lsn> AppendCheckpoint(uint64_t data_page_count,
-                                       const core::AccessContext& ctx,
-                                       std::optional<Lsn> redo_lsn = {});
-
-  /// Zeros every whole log segment strictly below `lsn` (clamped to the
-  /// durable prefix), reclaiming the space a durable fuzzy checkpoint made
-  /// dead. Segments are zeroed in ascending page order, so a crash at any
-  /// point leaves the log with a zero prefix — which recovery's start
-  /// discovery skips — never a gap that could resurrect stale records. The
-  /// caller must only pass a redo_lsn whose checkpoint record is durable.
-  core::Status TruncateBelow(Lsn lsn);
+                                       const core::AccessContext& ctx);
 
   /// Stops accepting group commits, joins the writer thread and runs one
   /// final flush, so everything appended before the call is durable when it
@@ -155,8 +138,6 @@ class WalManager {
   Lsn next_lsn() const;
   /// End of the durable prefix.
   Lsn durable_lsn() const;
-  /// End of the zeroed (truncated) prefix; always a segment boundary.
-  Lsn truncated_lsn() const;
   /// The sticky terminal error, Ok while the log is healthy. Once set (a
   /// device failure that survived the retry budget) the log stops flushing
   /// and every commit/durability call returns this error — the service's
@@ -199,11 +180,10 @@ class WalManager {
   const WalOptions options_;
   const size_t page_size_;
 
-  /// File latch: serializes device writes (flush blocks, truncation) and
-  /// guards partial_/truncated_lsn_. Acquired before mu_, never inside it.
-  mutable std::mutex file_mu_;
+  /// File latch: serializes device writes (flush blocks) and guards
+  /// partial_. Acquired before mu_, never inside it.
+  std::mutex file_mu_;
   std::vector<std::byte> partial_;  ///< durable bytes of the tail page
-  Lsn truncated_lsn_ = 0;           ///< zeroed prefix end (segment-aligned)
 
   /// Queue latch: append tail, LSN bookkeeping, commit queue, stats.
   mutable std::mutex mu_;

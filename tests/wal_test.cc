@@ -3,7 +3,8 @@
 // group-commit durability through WalManager, redo-only recovery with its
 // commit horizon and checkpoint bound, and the crash suite — a torn log
 // flush at EVERY write index must leave recovery byte-exact against the
-// snapshot of the last commit whose records survived intact.
+// snapshot of the last commit whose records survived intact, at every
+// redo worker count.
 
 #include <gtest/gtest.h>
 
@@ -327,15 +328,14 @@ TEST(WalGroupCommitTest, ShutdownUnderLoadAcknowledgesOnlyDurableCommits) {
   EXPECT_GE(offset, wal.durable_lsn()) << "the durable prefix parses";
 }
 
-TEST(WalGroupCommitTest, CheckpointsAndTruncationRunConcurrentlyWithCommits) {
-  // Liveness of the two-latch split: fuzzy checkpoints and segment
-  // truncation (device writes under the file latch) interleave with live
-  // group committers (queue latch) without deadlock or starvation.
+TEST(WalGroupCommitTest, CheckpointsRunConcurrentlyWithCommits) {
+  // Liveness of the two-latch split: checkpoints (device writes under the
+  // file latch) interleave with live group committers (queue latch)
+  // without deadlock or starvation.
   storage::DiskManager log(kPageSize);
   WalOptions options;
   options.group_commit = true;
   options.group_window_us = 50;
-  options.segment_pages = 2;
   WalManager wal(&log, options);
   std::vector<std::thread> committers;
   for (size_t t = 0; t < 2; ++t) {
@@ -349,137 +349,14 @@ TEST(WalGroupCommitTest, CheckpointsAndTruncationRunConcurrentlyWithCommits) {
     });
   }
   for (int round = 0; round < 8; ++round) {
-    const Lsn redo = wal.durable_lsn();
-    const core::StatusOr<Lsn> end = wal.AppendCheckpoint(2, {}, redo);
+    const core::StatusOr<Lsn> end = wal.AppendCheckpoint(2, {});
     ASSERT_TRUE(end.ok());
     ASSERT_TRUE(wal.EnsureDurable(*end).ok());
-    ASSERT_TRUE(wal.TruncateBelow(redo).ok());
   }
   for (std::thread& thread : committers) thread.join();
   EXPECT_EQ(wal.durable_lsn(), wal.next_lsn())
       << "every committer waited for durability";
   EXPECT_EQ(wal.stats().checkpoints, 8u);
-  EXPECT_EQ(wal.truncated_lsn() % (options.segment_pages * kPageSize), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Fuzzy checkpoints and segment truncation
-
-TEST(WalManagerTest, TruncateBelowZerosWholeSegmentsAndRecoveryStillWorks) {
-  storage::DiskManager log(kPageSize);
-  WalOptions options;
-  options.segment_pages = 2;  // 1 KiB segments
-  WalManager wal(&log, options);
-  // Four single-page commits, each to its own page, fills 1..4.
-  std::vector<Lsn> ends;
-  for (uint8_t p = 0; p < 4; ++p) {
-    const auto image = MakeImage(kPageSize, static_cast<uint8_t>(p + 1));
-    const PageImageRef ref{p, image};
-    const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 4, {});
-    ASSERT_TRUE(end.ok());
-    ends.push_back(*end);
-  }
-  // Fuzzy checkpoint at commit 2's end: pages 0 and 1 are on the data
-  // device, pages 2 and 3 are still dirty in the pool.
-  const Lsn redo = ends[1];
-  ASSERT_TRUE(wal.AppendCheckpoint(4, {}, redo).ok());
-  ASSERT_TRUE(wal.TruncateBelow(redo).ok());
-
-  const Lsn segment_bytes = options.segment_pages * kPageSize;
-  const Lsn truncated = wal.truncated_lsn();
-  EXPECT_GT(truncated, 0u);
-  EXPECT_LE(truncated, redo) << "only segments wholly below the horizon";
-  EXPECT_EQ(truncated % segment_bytes, 0u) << "always a segment boundary";
-  EXPECT_GE(wal.stats().segments_truncated, 1u);
-  const std::vector<std::byte> stream = ReadStream(log);
-  for (Lsn b = 0; b < truncated; ++b) {
-    ASSERT_EQ(stream[b], std::byte{0}) << "offset " << b;
-  }
-
-  // Recovery of the truncated log, onto a device holding the flushed
-  // prefix state, reproduces all four pages byte-exactly.
-  storage::DiskManager data(kPageSize);
-  for (uint8_t p = 0; p < 2; ++p) {
-    data.AllocateOrDie();
-    ASSERT_TRUE(data.Write(p, MakeImage(kPageSize, p + 1)).ok());
-  }
-  const core::StatusOr<RecoveryResult> result = Recover(log, data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GE(result->start_lsn, truncated)
-      << "start discovery skips the zero prefix (plus straddler garbage)";
-  EXPECT_FALSE(result->torn_tail);
-  std::vector<std::byte> page(kPageSize);
-  for (uint8_t p = 0; p < 4; ++p) {
-    ASSERT_TRUE(data.Read(p, page).ok());
-    for (const std::byte b : page) {
-      ASSERT_EQ(b, std::byte{static_cast<uint8_t>(p + 1)}) << "page " << p;
-    }
-  }
-}
-
-TEST(WalCrashTest, CrashMidTruncationLeavesARecoverableLog) {
-  // TruncateBelow zeros segments in ascending page order, so a crash after
-  // k zeroed segments leaves exactly a k-segment zero prefix. Recovery must
-  // be byte-exact at EVERY such k.
-  constexpr size_t kCommits = 8;
-  constexpr size_t kFlushed = 6;  // pages 0..5 on the data device at the ckpt
-  WalOptions options;
-  options.segment_pages = 2;
-  const Lsn segment_bytes = options.segment_pages * kPageSize;
-
-  // The workload is deterministic: run it once to learn the redo horizon
-  // (commit kFlushed's end), then replay it fresh for every crash point.
-  const auto run_workload = [&](storage::DiskManager* log) {
-    WalManager wal(log, options);
-    std::vector<Lsn> ends;
-    for (uint8_t p = 0; p < kCommits; ++p) {
-      const auto image = MakeImage(kPageSize, static_cast<uint8_t>(p + 1));
-      const PageImageRef ref{p, image};
-      const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, kCommits, {});
-      EXPECT_TRUE(end.ok());
-      ends.push_back(*end);
-    }
-    const Lsn redo = ends[kFlushed - 1];
-    EXPECT_TRUE(wal.AppendCheckpoint(kCommits, {}, redo).ok());
-    return redo;
-  };
-  Lsn redo = 0;
-  {
-    storage::DiskManager probe(kPageSize);
-    redo = run_workload(&probe);
-  }
-  const size_t full_segments = redo / segment_bytes;
-  ASSERT_GE(full_segments, 2u) << "the matrix needs several crash points";
-
-  for (size_t crashed_after = 0; crashed_after <= full_segments;
-       ++crashed_after) {
-    storage::DiskManager log(kPageSize);
-    ASSERT_EQ(run_workload(&log), redo);
-    const std::vector<std::byte> zeros(kPageSize, std::byte{0});
-    for (size_t p = 0; p < crashed_after * options.segment_pages; ++p) {
-      ASSERT_TRUE(log.Write(static_cast<storage::PageId>(p), zeros).ok());
-    }
-
-    storage::DiskManager data(kPageSize);
-    for (size_t p = 0; p < kFlushed; ++p) {
-      data.AllocateOrDie();
-      ASSERT_TRUE(
-          data.Write(static_cast<storage::PageId>(p),
-                     MakeImage(kPageSize, static_cast<uint8_t>(p + 1)))
-              .ok());
-    }
-    const core::StatusOr<RecoveryResult> result = Recover(log, data);
-    ASSERT_TRUE(result.ok()) << "crashed after " << crashed_after
-                             << " segments";
-    std::vector<std::byte> page(kPageSize);
-    for (size_t p = 0; p < kCommits; ++p) {
-      ASSERT_TRUE(data.Read(static_cast<storage::PageId>(p), page).ok());
-      for (const std::byte b : page) {
-        ASSERT_EQ(b, std::byte{static_cast<uint8_t>(p + 1)})
-            << "crashed after " << crashed_after << " segments, page " << p;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -582,54 +459,26 @@ TEST(RecoveryTest, TornTailIsDetectedAndDiscarded) {
   EXPECT_EQ(page[0], std::byte{0x10}) << "the torn group must not replay";
 }
 
-TEST(RecoveryTest, FuzzyCheckpointRedoHorizonSkipsFlushedImages) {
+TEST(RecoveryTest, CheckpointWithAPayloadFailsRecovery) {
+  // A checkpoint record carrying a payload (e.g. a redo horizon below the
+  // record) is a shape this log format never writes. Reading it as a plain
+  // checkpoint would skip committed images the data device may lack, so
+  // recovery must refuse the log instead — and leave the device untouched.
+  std::vector<std::byte> stream;
+  const auto image = MakeImage(kPageSize, 0x5A);
+  std::byte horizon[8] = {};
+  Lsn lsn = 0;
+  lsn += AppendRecord(RecordType::kPageImage, lsn, 0, image, &stream);
+  lsn += AppendRecord(RecordType::kCommit, lsn, 1, {}, &stream);
+  lsn += AppendRecord(RecordType::kCheckpoint, lsn, 1, horizon, &stream);
+
   storage::DiskManager log(kPageSize);
-  WalManager wal(&log);
-  const auto flushed = MakeImage(kPageSize, 0xF1);
-  const auto pending = MakeImage(kPageSize, 0xD2);
-  const PageImageRef first{0, flushed};
-  const core::StatusOr<Lsn> e1 = wal.CommitPages({&first, 1}, 2, {});
-  ASSERT_TRUE(e1.ok());
-  const PageImageRef second{1, pending};
-  ASSERT_TRUE(wal.CommitPages({&second, 1}, 2, {}).ok());
-  // Fuzzy checkpoint: page 0 made it to the data device (its rec_lsn is
-  // behind the horizon), page 1 is still dirty in the pool — so the record
-  // carries redo = e1 and recovery replays from there, not from the record.
-  ASSERT_TRUE(wal.AppendCheckpoint(2, {}, *e1).ok());
-  EXPECT_EQ(wal.stats().checkpoints, 1u);
-
-  storage::DiskManager data(kPageSize);
-  data.AllocateOrDie();
-  ASSERT_TRUE(data.Write(0, flushed).ok());
-  const core::StatusOr<RecoveryResult> result = Recover(log, data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->redo_lsn, *e1) << "the carried horizon drives the redo";
-  EXPECT_EQ(result->replayed_pages, 1u) << "the flushed image is skipped";
-  std::vector<std::byte> page(kPageSize);
-  ASSERT_TRUE(data.Read(1, page).ok());
-  EXPECT_EQ(page[0], std::byte{0xD2});
-  ASSERT_TRUE(data.Read(0, page).ok());
-  EXPECT_EQ(page[0], std::byte{0xF1});
-}
-
-TEST(RecoveryTest, FuzzyRedoZeroReplaysEverything) {
-  // redo_lsn 0 is a legal fuzzy horizon (min rec_lsn 1 -> redo 0) and must
-  // NOT collapse into a strict checkpoint: every committed image replays.
-  storage::DiskManager log(kPageSize);
-  WalManager wal(&log);
-  const auto image = MakeImage(kPageSize, 0x77);
-  const PageImageRef ref{0, image};
-  ASSERT_TRUE(wal.CommitPages({&ref, 1}, 1, {}).ok());
-  ASSERT_TRUE(wal.AppendCheckpoint(1, {}, Lsn{0}).ok());
-
+  WriteStream(log, stream);
   storage::DiskManager data(kPageSize);
   const core::StatusOr<RecoveryResult> result = Recover(log, data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->redo_lsn, 0u);
-  EXPECT_EQ(result->replayed_pages, 1u);
-  std::vector<std::byte> page(kPageSize);
-  ASSERT_TRUE(data.Read(0, page).ok());
-  EXPECT_EQ(page[0], std::byte{0x77});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), core::StatusCode::kUnimplemented);
+  EXPECT_EQ(data.page_count(), 0u) << "nothing replayed";
 }
 
 TEST(RecoveryTest, ParallelRedoIsByteIdenticalToSerial) {
@@ -747,36 +596,45 @@ TEST(WalCrashTest, TornWriteAtEveryIndexRecoversByteExact) {
     seed = std::strtoull(env, nullptr, 10);
   }
 
+  // Every torn log is recovered once per redo worker count: the parallel
+  // replay must be as byte-exact as the inline one.
   for (uint64_t torn = 0; torn < total_writes; ++torn) {
     CrashRun run;
     RunCrashWorkload(torn, seed, &run);
     ASSERT_EQ(run.torn_writes, 1u) << "torn index " << torn;
 
-    storage::DiskManager data(kPageSize);
-    const core::StatusOr<RecoveryResult> recovered = Recover(run.log, data);
-    ASSERT_TRUE(recovered.ok()) << "torn index " << torn;
+    for (const size_t workers : {size_t{1}, size_t{2}, size_t{8}}) {
+      storage::DiskManager data(kPageSize);
+      RecoveryOptions options;
+      options.redo_workers = workers;
+      const core::StatusOr<RecoveryResult> recovered =
+          Recover(run.log, data, {}, nullptr, options);
+      ASSERT_TRUE(recovered.ok())
+          << "torn index " << torn << " workers " << workers;
 
-    // Identify the last commit whose group survived the tear intact…
-    std::vector<uint8_t> expected(3, 0);
-    if (recovered->last_commit_lsn != kNullLsn) {
-      // last_commit_lsn is the commit record's START; its group's end is
-      // the next map key past it.
-      const auto it =
-          run.commit_of_end_lsn.upper_bound(recovered->last_commit_lsn);
-      ASSERT_NE(it, run.commit_of_end_lsn.end()) << "torn index " << torn;
-      expected = run.expected_pages[it->second];
-    }
-    // …and demand byte-exactness of every committed page against that
-    // commit's snapshot.
-    ASSERT_EQ(recovered->committed_page_count == 0 ? 0u : 3u,
-              recovered->committed_page_count)
-        << "torn index " << torn;
-    std::vector<std::byte> page(kPageSize);
-    for (storage::PageId p = 0; p < data.page_count(); ++p) {
-      ASSERT_TRUE(data.Read(p, page).ok());
-      for (const std::byte b : page) {
-        ASSERT_EQ(b, std::byte{expected[p]})
-            << "torn index " << torn << " page " << p;
+      // Identify the last commit whose group survived the tear intact…
+      std::vector<uint8_t> expected(3, 0);
+      if (recovered->last_commit_lsn != kNullLsn) {
+        // last_commit_lsn is the commit record's START; its group's end is
+        // the next map key past it.
+        const auto it =
+            run.commit_of_end_lsn.upper_bound(recovered->last_commit_lsn);
+        ASSERT_NE(it, run.commit_of_end_lsn.end()) << "torn index " << torn;
+        expected = run.expected_pages[it->second];
+      }
+      // …and demand byte-exactness of every committed page against that
+      // commit's snapshot.
+      ASSERT_EQ(recovered->committed_page_count == 0 ? 0u : 3u,
+                recovered->committed_page_count)
+          << "torn index " << torn;
+      std::vector<std::byte> page(kPageSize);
+      for (storage::PageId p = 0; p < data.page_count(); ++p) {
+        ASSERT_TRUE(data.Read(p, page).ok());
+        for (const std::byte b : page) {
+          ASSERT_EQ(b, std::byte{expected[p]})
+              << "torn index " << torn << " workers " << workers << " page "
+              << p;
+        }
       }
     }
   }
