@@ -178,10 +178,7 @@ CellResult RunCell(const sim::Scenario& scenario,
   cell.io_recovered_reads = buffer.stats().io_recovered_reads;
   cell.io_permanent_failures = buffer.stats().io_permanent_failures;
   cell.io_errors = tree.io_errors();
-  if constexpr (obs::kEnabled) {
-    buffer.FlushObservability();
-    cell.metrics = collector.metrics().Snapshot();
-  }
+  if constexpr (obs::kEnabled) cell.metrics = buffer.MetricsSnapshot();
   if (fault_device != nullptr) {
     cell.faults_injected = fault_device->fault_stats().injected();
     // Recovery ledger: every injected data fault is exactly one retried

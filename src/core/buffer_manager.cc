@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -93,13 +94,7 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
   quarantine_cap_ = resilience_.max_quarantined_frames != 0
                         ? std::min(resilience_.max_quarantined_frames, frames)
                         : frames / 2;
-  if constexpr (obs::kEnabled) {
-    obs_ = collector;
-    if (obs_ != nullptr) {
-      obs_evictions_ = obs_->metrics().GetCounter("buffer.evictions");
-      obs_writebacks_ = obs_->metrics().GetCounter("buffer.dirty_writebacks");
-    }
-  }
+  if constexpr (obs::kEnabled) obs_ = collector;
   frame_data_ = std::make_unique<std::byte[]>(frames * page_size_);
   frames_.assign(frames, Frame{});
   meta_versions_.assign(frames, 0);
@@ -386,9 +381,6 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         // reached it — a synchronous foreground write is the fallback the
         // watermark bench gates on.
         ++stats_.sync_writeback_fallbacks;
-        if constexpr (obs::kEnabled) {
-          if (obs_sync_fallbacks_ != nullptr) obs_sync_fallbacks_->Add();
-        }
       }
       if (Status written = WriteBackLocked(f, ctx); !written.ok()) {
         // The victim keeps its bytes and residency; the fetch that wanted
@@ -401,7 +393,6 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     ++stats_.evictions;
     if constexpr (obs::kEnabled) {
       if (obs_ != nullptr) {
-        obs_evictions_->Add();
         obs::Event event;
         event.kind = obs::EventKind::kEviction;
         event.flag = was_dirty;
@@ -436,12 +427,6 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
         if (actual != *expected) {
           status = Status::DataLoss("page checksum mismatch");
           ++stats_.io_checksum_mismatches;
-          if constexpr (obs::kEnabled) {
-            if (obs_ != nullptr) {
-              EnsureIoObs();
-              obs_io_mismatches_->Add();
-            }
-          }
         }
       }
     }
@@ -475,24 +460,12 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
     }
     if (!status.retryable() || failures >= resilience_.max_read_retries) {
       ++stats_.io_permanent_failures;
-      if constexpr (obs::kEnabled) {
-        if (obs_ != nullptr) {
-          EnsureIoObs();
-          obs_io_permanent_->Add();
-        }
-      }
       bad_pages_.emplace(page, status.code());
       QuarantineFrame(f, page);
       return status;
     }
     ++failures;
     ++stats_.io_read_retries;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        EnsureIoObs();
-        obs_io_retries_->Add();
-      }
-    }
     BackoffBeforeRetry(failures, page);
     status = disk_->Read(page, {FrameData(f), page_size_});
   }
@@ -511,8 +484,6 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
     ++stats_.io_quarantined_frames;
     if constexpr (obs::kEnabled) {
       if (obs_ != nullptr) {
-        EnsureIoObs();
-        obs_io_quarantined_->Add();
         obs::Event event;
         event.kind = obs::EventKind::kFrameQuarantined;
         event.frame = f;
@@ -528,25 +499,6 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
   // one noisy device region into a self-inflicted outage.
   std::memset(FrameData(f), 0, page_size_);
   free_frames_.push_back(f);
-}
-
-void BufferManager::EnsureIoObs() {
-  if constexpr (obs::kEnabled) {
-    if (obs_ == nullptr || obs_io_retries_ != nullptr) return;
-    obs_io_retries_ = obs_->metrics().GetCounter("io.read_retries");
-    obs_io_mismatches_ = obs_->metrics().GetCounter("io.checksum_mismatches");
-    obs_io_quarantined_ = obs_->metrics().GetCounter("io.quarantined_frames");
-    obs_io_permanent_ = obs_->metrics().GetCounter("io.permanent_failures");
-  }
-}
-
-void BufferManager::EnsureWriteObs() {
-  if constexpr (obs::kEnabled) {
-    if (obs_ == nullptr || obs_io_write_retries_ != nullptr) return;
-    obs_io_write_retries_ = obs_->metrics().GetCounter("io.write_retries");
-    obs_io_write_quarantined_ =
-        obs_->metrics().GetCounter("io.write_quarantined");
-  }
 }
 
 void BufferManager::QuarantineWriteFailure(FrameId f) {
@@ -575,12 +527,6 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   frame.write_failures = 0;
   frame.page = storage::kInvalidPageId;
   ++stats_.io_write_quarantined;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) {
-      EnsureWriteObs();
-      obs_io_write_quarantined_->Add();
-    }
-  }
   QuarantineFrame(f, page);
 }
 
@@ -600,18 +546,39 @@ void BufferManager::BackoffBeforeRetry(uint32_t failures,
       std::chrono::microseconds(ceiling - jitter));
 }
 
-void BufferManager::FlushObservability() {
-  if constexpr (!obs::kEnabled) return;
-  if (concurrent_) DrainDeferred();  // totals must include deferred hits
-  if (obs_ == nullptr) return;
-  // Delta-flush: header decodes are the only total the hot path does not
-  // feed into the collector eagerly (the counter lives on the GetMeta fast
-  // path, where even a guarded increment would distort the A/B overhead
-  // bench this subsystem must not perturb).
-  obs_->metrics()
-      .GetCounter("buffer.header_decodes")
-      ->Add(header_decodes_ - flushed_header_decodes_);
-  flushed_header_decodes_ = header_decodes_;
+obs::MetricsSnapshot BufferManager::MetricsSnapshot() const {
+  obs::MetricsRegistry registry;
+  if constexpr (obs::kEnabled) {
+    if (obs_ != nullptr) registry.Merge(obs_->metrics().Snapshot());
+  }
+  const auto counter = [&registry](std::string_view name, uint64_t value) {
+    registry.GetCounter(name)->Add(value);
+  };
+  counter("buffer.requests", stats_.requests);
+  counter("buffer.hits", stats_.hits);
+  counter("buffer.misses", stats_.misses);
+  counter("buffer.evictions", stats_.evictions);
+  counter("buffer.dirty_writebacks", stats_.dirty_writebacks);
+  counter("buffer.header_decodes", header_decodes_);
+  // The fault groups appear only once they have something to say, so a
+  // healthy run (or a read-fault-only run, for the write group) exports
+  // exactly the metric set it always did.
+  if (stats_.io_read_retries + stats_.io_checksum_mismatches +
+          stats_.io_quarantined_frames + stats_.io_permanent_failures !=
+      0) {
+    counter("io.read_retries", stats_.io_read_retries);
+    counter("io.checksum_mismatches", stats_.io_checksum_mismatches);
+    counter("io.quarantined_frames", stats_.io_quarantined_frames);
+    counter("io.permanent_failures", stats_.io_permanent_failures);
+  }
+  if (stats_.io_write_retries + stats_.io_write_quarantined != 0) {
+    counter("io.write_retries", stats_.io_write_retries);
+    counter("io.write_quarantined", stats_.io_write_quarantined);
+  }
+  if (writeback_.enabled) {
+    counter("wal.sync_writeback_fallbacks", stats_.sync_writeback_fallbacks);
+  }
+  return registry.Snapshot();
 }
 
 UnpinStatus BufferManager::Unpin(FrameId f, bool dirty) {
@@ -731,12 +698,6 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
          failures < resilience_.max_write_retries) {
     ++failures;
     ++stats_.io_write_retries;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        EnsureWriteObs();
-        obs_io_write_retries_->Add();
-      }
-    }
     BackoffBeforeRetry(failures, frame.page);
     written = disk_->Write(frame.page, {FrameData(f), page_size_});
   }
@@ -750,9 +711,6 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
   --dirty_frames_;
   frame.rec_lsn = 0;
   ++stats_.dirty_writebacks;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_writebacks_->Add();
-  }
   return Status::Ok();
 }
 
@@ -816,9 +774,6 @@ EvictStatus BufferManager::Evict(storage::PageId page) {
     }
   }
   ++stats_.evictions;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) obs_evictions_->Add();
-  }
   page_table_.erase(frame.page);
   if (concurrent_) {
     concurrent_table_->Erase(frame.page);
@@ -872,12 +827,6 @@ void BufferManager::ConfigureBackgroundWriteback(
       !options.enabled || options.low_watermark <= options.high_watermark,
       "low watermark must not exceed the high watermark");
   writeback_ = options;
-  if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr && options.enabled && obs_sync_fallbacks_ == nullptr) {
-      obs_sync_fallbacks_ =
-          obs_->metrics().GetCounter("wal.sync_writeback_fallbacks");
-    }
-  }
 }
 
 size_t BufferManager::HarvestFlushCandidates(size_t max,

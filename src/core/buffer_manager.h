@@ -67,9 +67,9 @@ class PageHandle {
   storage::PageId page_id_ = storage::kInvalidPageId;
 };
 
-/// Hit/miss accounting of one buffer instance. The io_* group mirrors the
-/// lazily-registered obs counters (io.read_retries & co.) so fault handling
-/// is testable without a collector attached.
+/// Hit/miss accounting of one buffer instance — the only place these
+/// numbers are counted. BufferManager::MetricsSnapshot renders them as
+/// registry counters (buffer.*, io.*) on demand.
 struct BufferStats {
   uint64_t requests = 0;
   uint64_t hits = 0;
@@ -441,7 +441,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   void ResetStats() {
     stats_ = BufferStats{};
     header_decodes_ = 0;
-    flushed_header_decodes_ = 0;
   }
 
   /// Frames currently out of service after terminal read failures. They are
@@ -482,12 +481,15 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// an in-place update (steady-state victim scans decode nothing).
   uint64_t header_decodes() const { return header_decodes_; }
 
-  /// Publishes the end-of-run aggregate counters (BufferStats, header
-  /// decodes) into the attached collector's registry — totals the hot path
-  /// does not maintain eagerly. Idempotent: repeated calls add only the
-  /// delta since the previous flush, so live dashboards may call it at any
-  /// cadence. No-op without a collector.
-  void FlushObservability();
+  /// The buffer's metrics: the attached collector's registry (if any)
+  /// merged with counters rendered from stats() and header_decodes().
+  /// buffer.* is always present; the io.* read group (retries, checksum
+  /// mismatches, quarantined frames, permanent failures) and the write
+  /// group (write retries, write quarantines) only once one of their counts
+  /// is non-zero; wal.sync_writeback_fallbacks only with background
+  /// write-back enabled. Idempotent. In concurrent mode call DrainDeferred
+  /// first (under the latch) so deferred hits are counted.
+  obs::MetricsSnapshot MetricsSnapshot() const;
 
  private:
   friend class PageHandle;
@@ -545,14 +547,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// (and, in concurrent mode, the frame's version lock with a zero pin
   /// count).
   void QuarantineWriteFailure(FrameId frame);
-
-  /// Registers the io.* counters in the collector on first fault — lazily,
-  /// so fault-free runs export exactly the metric set they always did.
-  void EnsureIoObs();
-
-  /// Same lazy registration for the write-side io.* counters, kept separate
-  /// so read-fault-only runs keep their exact exported metric set.
-  void EnsureWriteObs();
 
   /// Deterministic exponential backoff with jitter before retry number
   /// `failures` (1-based); no-op when backoff_base_us is 0.
@@ -655,25 +649,10 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::vector<uint64_t> meta_versions_;
   mutable std::vector<MetaCacheEntry> meta_cache_;
   mutable uint64_t header_decodes_ = 0;
-  // Observability (all nullptr when no collector is attached or SDB_OBS is
-  // off): eviction counters/events are recorded eagerly, aggregate totals
-  // go through FlushObservability.
+  // Observability sink for events and policy histograms (nullptr when no
+  // collector is attached or SDB_OBS is off). Counters are not mirrored
+  // into it: MetricsSnapshot renders them from stats_.
   obs::Collector* obs_ = nullptr;
-  obs::Counter* obs_evictions_ = nullptr;
-  obs::Counter* obs_writebacks_ = nullptr;
-  // Registered by ConfigureBackgroundWriteback(enabled), so runs without a
-  // flusher export an unchanged metric set.
-  obs::Counter* obs_sync_fallbacks_ = nullptr;
-  // io.* fault counters, registered lazily by EnsureIoObs on first fault so
-  // healthy runs export an unchanged metric set.
-  obs::Counter* obs_io_retries_ = nullptr;
-  obs::Counter* obs_io_mismatches_ = nullptr;
-  obs::Counter* obs_io_quarantined_ = nullptr;
-  obs::Counter* obs_io_permanent_ = nullptr;
-  // Write-side io.* counters, registered lazily by EnsureWriteObs.
-  obs::Counter* obs_io_write_retries_ = nullptr;
-  obs::Counter* obs_io_write_quarantined_ = nullptr;
-  uint64_t flushed_header_decodes_ = 0;
   // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
   bool concurrent_ = false;
   ConcurrentOptions concurrent_options_;

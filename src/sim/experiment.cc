@@ -116,21 +116,19 @@ RunResult RunQuerySet(const storage::DiskManager& disk,
   result.io_errors = tree.io_errors();
   SDB_CHECK_MSG(view.stats().writes == 0,
                 "read-only replay must not write");
-  if (obs::Collector* c = buffer.collector()) {
-    // Publish the totals the hot paths do not maintain eagerly, then the
-    // view-level I/O split (once — the view dies with this call, so these
-    // are final values, not deltas).
-    buffer.FlushObservability();
-    c->metrics().GetCounter("disk.reads")->Add(result.io.reads);
-    c->metrics()
-        .GetCounter("disk.sequential_reads")
+  if (buffer.collector() != nullptr) {
+    // The buffer's own metrics plus the view-level I/O split (final values:
+    // the view dies with this call).
+    obs::MetricsRegistry metrics;
+    metrics.Merge(buffer.MetricsSnapshot());
+    metrics.GetCounter("disk.reads")->Add(result.io.reads);
+    metrics.GetCounter("disk.sequential_reads")
         ->Add(result.io.sequential_reads);
     if (result.retained_history_records > 0) {
-      c->metrics()
-          .GetGauge("lru_k.retained_history")
+      metrics.GetGauge("lru_k.retained_history")
           ->Set(static_cast<double>(result.retained_history_records));
     }
-    result.metrics = c->metrics().Snapshot();
+    result.metrics = metrics.Snapshot();
   }
   return result;
 }

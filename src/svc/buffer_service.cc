@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/macros.h"
@@ -66,13 +67,11 @@ void BufferService::Init(const storage::DiskManager& disk,
       shard->collector = std::make_unique<obs::Collector>(options);
     }
     auto policy = core::CreatePolicy(config.policy_spec);
-    if (config.share_asb_tuning) {
-      // Attach before the buffer constructs (construction binds the policy,
-      // and Bind is where the shard registers with the global tuning).
-      if (auto* asb = dynamic_cast<core::AsbPolicy*>(policy.get())) {
-        asb->set_shared_tuning(&asb_tuning_);
-        asb_shared_ = true;
-      }
+    // Attach before the buffer constructs (construction binds the policy,
+    // and Bind is where the shard registers with the global tuning).
+    if (auto* asb = dynamic_cast<core::AsbPolicy*>(policy.get())) {
+      asb->set_shared_tuning(&asb_tuning_);
+      asb_shared_ = true;
     }
     storage::PageDevice* device = &shard->view;
     if (writable_disk_ != nullptr) {
@@ -375,6 +374,10 @@ bool BufferService::Contains(storage::PageId page) const {
 ShardStats BufferService::StatsOfShard(size_t s) const {
   Shard& shard = *shards_[s];
   const std::unique_lock<std::mutex> lock = LockShard(shard);
+  return StatsOfShardLocked(shard);
+}
+
+ShardStats BufferService::StatsOfShardLocked(Shard& shard) const {
   // Deferred optimistic events must reach the buffer's stats before they
   // are sampled.
   shard.buffer->DrainDeferred();
@@ -465,9 +468,6 @@ void BufferService::EnterDegraded(DegradedState why, size_t s,
   degraded_entries_.fetch_add(1, std::memory_order_relaxed);
   obs::Collector* collector = shards_[s]->collector.get();
   if (!collect_metrics_ || collector == nullptr) return;
-  // Registered here, not up front: a healthy run's exported metric set
-  // must not change just because degraded mode exists.
-  collector->metrics().GetCounter("wal.degraded_entries")->Add();
   obs::Event event;
   event.kind = obs::EventKind::kDegraded;
   event.frame = static_cast<uint32_t>(s);
@@ -495,100 +495,53 @@ size_t BufferService::shared_candidate() const {
   return static_cast<size_t>(asb_tuning_.Load());
 }
 
-void BufferService::FlushShardLocked(Shard& shard) {
-  if constexpr (!obs::kEnabled) return;
-  if (shard.collector == nullptr) return;
-  // Ordering contract of the idempotent flush: (1) replay the deferred
-  // optimistic events so every total they feed is final for this sample,
-  // (2) flush the buffer's own deltas, (3) sample each service-level source
-  // exactly once and advance its base saturatingly. The saturation is what
-  // makes the flush immune to a source moving backwards mid-run — a shard
-  // quarantined and its buffer stats reset between two flushes used to
-  // wrap the delta and silently corrupt (under-report, then overflow)
-  // svc.latch_waits and friends.
-  shard.buffer->DrainDeferred();
-  shard.buffer->FlushObservability();
-  obs::MetricsRegistry& metrics = shard.collector->metrics();
-  const auto delta = [](uint64_t now, uint64_t* base) {
-    const uint64_t d = now >= *base ? now - *base : 0;
-    *base = now;
-    return d;
+obs::MetricsSnapshot BufferService::ShardMetrics(size_t s) const {
+  Shard& shard = *shards_[s];
+  const std::unique_lock<std::mutex> lock = LockShard(shard);
+  const ShardStats stats = StatsOfShardLocked(shard);
+  // The buffer renders stats.buffer (merged with its collector's series
+  // when metrics are collected); the shard-level fields go around it.
+  obs::MetricsRegistry registry;
+  registry.Merge(shard.buffer->MetricsSnapshot());
+  const auto counter = [&registry](std::string_view name, uint64_t value) {
+    registry.GetCounter(name)->Add(value);
   };
-  metrics.GetCounter("svc.latch_waits")
-      ->Add(delta(shard.latch_waits.load(std::memory_order_relaxed),
-                  &shard.flushed_latch_waits));
-  metrics.GetCounter("svc.latch_acquires")
-      ->Add(delta(shard.latch_acquires.load(std::memory_order_relaxed),
-                  &shard.flushed_latch_acquires));
-  metrics.GetCounter("svc.disk_reads")
-      ->Add(delta(ShardIoStats(shard).reads, &shard.flushed_disk_reads));
-  metrics.GetCounter("svc.optimistic_hits")
-      ->Add(delta(shard.buffer->optimistic_hits(),
-                  &shard.flushed_optimistic_hits));
-  metrics.GetCounter("svc.optimistic_retries")
-      ->Add(delta(shard.buffer->optimistic_retries(),
-                  &shard.flushed_optimistic_retries));
-  metrics.GetCounter("svc.version_conflicts")
-      ->Add(delta(shard.buffer->version_conflicts(),
-                  &shard.flushed_version_conflicts));
+  counter("svc.latch_waits", stats.latch_waits);
+  counter("svc.latch_acquires", stats.latch_acquires);
+  counter("svc.disk_reads", stats.io.reads);
+  counter("svc.optimistic_hits", stats.optimistic_hits);
+  counter("svc.optimistic_retries", stats.optimistic_retries);
+  counter("svc.version_conflicts", stats.version_conflicts);
+  // Every service dump carries the quarantine count; the buffer renders it
+  // only once non-zero, so register the series without adding to it.
+  registry.GetCounter("io.quarantined_frames");
+  return registry.Snapshot();
 }
 
-obs::MetricsSnapshot BufferService::MetricsSnapshot() {
-  if (!collect_metrics_) return {};
+obs::MetricsSnapshot BufferService::MetricsSnapshot() const {
   // Merge in shard order: registry merging is commutative, so the combined
   // snapshot is identical for any client-thread count as long as the
   // underlying per-shard counts are.
   obs::MetricsRegistry merged;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::unique_lock<std::mutex> lock = LockShard(*shard);
-    FlushShardLocked(*shard);
-    merged.Merge(shard->collector->metrics().Snapshot());
+  for (size_t s = 0; s < shards_.size(); ++s) merged.Merge(ShardMetrics(s));
+  // Service-level write-path series; the fault ones appear only once they
+  // have something to say, so a healthy run keeps its exact exposition.
+  if (flusher_ != nullptr) {
+    merged.GetCounter("wal.flusher_pages")
+        ->Add(flusher_->stats().pages_flushed);
+  }
+  if (wal_ != nullptr && wal_->stats().write_retries > 0) {
+    merged.GetCounter("wal.write_retries")->Add(wal_->stats().write_retries);
+  }
+  if (degraded_entries() > 0) {
+    merged.GetCounter("wal.degraded_entries")->Add(degraded_entries());
   }
   return merged.Snapshot();
 }
 
-std::string BufferService::StatsText() {
+std::string BufferService::StatsText() const {
   obs::MetricsRegistry registry;
-  if (collect_metrics_) {
-    registry.Merge(MetricsSnapshot());
-  } else {
-    // No collectors attached: synthesize the core series from the shard
-    // aggregate so the dump works on any service configuration.
-    const ShardStats stats = AggregateStats();
-    registry.GetCounter("buffer.requests")->Add(stats.buffer.requests);
-    registry.GetCounter("buffer.hits")->Add(stats.buffer.hits);
-    registry.GetCounter("buffer.misses")->Add(stats.buffer.misses);
-    registry.GetCounter("buffer.evictions")->Add(stats.buffer.evictions);
-    if (flusher_ != nullptr) {
-      registry.GetCounter("wal.sync_writeback_fallbacks")
-          ->Add(stats.buffer.sync_writeback_fallbacks);
-      registry.GetCounter("wal.flusher_pages")
-          ->Add(flusher_->stats().pages_flushed);
-    }
-    registry.GetCounter("svc.latch_waits")->Add(stats.latch_waits);
-    registry.GetCounter("svc.latch_acquires")->Add(stats.latch_acquires);
-    registry.GetCounter("svc.disk_reads")->Add(stats.io.reads);
-    registry.GetCounter("io.quarantined_frames")
-        ->Add(stats.quarantined_frames);
-    // Write-path series, synthesized only once they have something to say
-    // (healthy read-only runs keep their exact exposition).
-    if (stats.buffer.io_write_retries > 0) {
-      registry.GetCounter("io.write_retries")
-          ->Add(stats.buffer.io_write_retries);
-    }
-    if (stats.buffer.io_write_quarantined > 0) {
-      registry.GetCounter("io.write_quarantined")
-          ->Add(stats.buffer.io_write_quarantined);
-    }
-    if (wal_ != nullptr && wal_->stats().write_retries > 0) {
-      registry.GetCounter("wal.write_retries")
-          ->Add(wal_->stats().write_retries);
-    }
-    if (stats.degraded_entries > 0) {
-      registry.GetCounter("wal.degraded_entries")
-          ->Add(stats.degraded_entries);
-    }
-  }
+  registry.Merge(MetricsSnapshot());
   registry.GetGauge("svc.shards")
       ->Set(static_cast<double>(shards_.size()));
   registry.GetGauge("svc.total_frames")
@@ -606,14 +559,12 @@ std::string BufferService::StatsText() {
   return obs::PrometheusText(registry.Snapshot());
 }
 
-std::vector<obs::MetricsSnapshot> BufferService::ShardMetricsSnapshots() {
+std::vector<obs::MetricsSnapshot> BufferService::ShardMetricsSnapshots()
+    const {
   std::vector<obs::MetricsSnapshot> snapshots;
-  if (!collect_metrics_) return snapshots;
   snapshots.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    const std::unique_lock<std::mutex> lock = LockShard(*shard);
-    FlushShardLocked(*shard);
-    snapshots.push_back(shard->collector->metrics().Snapshot());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    snapshots.push_back(ShardMetrics(s));
   }
   return snapshots;
 }

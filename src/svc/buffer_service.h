@@ -53,16 +53,16 @@ struct BufferServiceConfig {
   /// time, so shard_count * (clients + 1) total frames is always safe.
   size_t total_frames = 256;
   size_t shard_count = 4;
-  /// Replacement policy of every shard (core::CreatePolicy spec).
+  /// Replacement policy of every shard (core::CreatePolicy spec). ASB
+  /// shards share one globally-published candidate-set size
+  /// (core::AsbSharedTuning): each adapts it by clamped CAS and re-reads it
+  /// before its next demotion scan, so the self-tuning sees the full
+  /// overflow-hit evidence instead of a 1/N slice per shard.
   std::string policy_spec = "ASB";
   /// Attach one obs::Collector per shard (mutated only under the shard
-  /// latch), feeding per-shard hit/miss/eviction metrics and events.
+  /// latch), adding the windowed hit ratio, policy metrics and events to
+  /// the counters every snapshot carries.
   bool collect_metrics = false;
-  /// With an ASB policy: publish one global candidate-set size that every
-  /// shard adapts (clamped CAS) and re-reads before its next demotion scan,
-  /// so the self-tuning sees the full overflow-hit evidence instead of a
-  /// 1/N slice per shard. OFF = each shard tunes privately.
-  bool share_asb_tuning = true;
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
@@ -291,21 +291,24 @@ class BufferService final : public core::PageSource {
   /// without a fault profile). Takes the shard latches.
   storage::FaultStats AggregateFaultStats() const;
 
-  /// Flushes per-shard aggregate counters into the shard collectors
-  /// (buffer totals, per-shard device reads, latch wait/acquire counts,
-  /// frame-capacity gauge) and returns the snapshot merged over every
-  /// shard registry in shard order — deterministic for any thread count
-  /// wherever the underlying counts are. Empty without collect_metrics.
-  obs::MetricsSnapshot MetricsSnapshot();
+  /// Every shard's metrics (see ShardMetricsSnapshots) merged in shard
+  /// order — deterministic for any thread count wherever the underlying
+  /// counts are — plus the service-level write-path series: flusher pages,
+  /// WAL write retries and degraded-mode entries. Rendered from the live
+  /// counters on every call, so repeated snapshots never double-count.
+  obs::MetricsSnapshot MetricsSnapshot() const;
 
-  /// Same flush, one snapshot per shard (per-shard reporting).
-  std::vector<obs::MetricsSnapshot> ShardMetricsSnapshots();
+  /// One snapshot per shard: the shard buffer's MetricsSnapshot (its
+  /// BufferStats counters, merged with the shard collector's series under
+  /// collect_metrics) plus the shard's svc.* counters from ShardStats.
+  /// Takes each shard latch once.
+  std::vector<obs::MetricsSnapshot> ShardMetricsSnapshots() const;
 
-  /// On-demand live stats dump: the merged metrics snapshot (or, without
-  /// collect_metrics, a minimal snapshot synthesized from AggregateStats)
-  /// plus service-shape gauges, rendered as Prometheus text exposition.
+  /// On-demand live stats dump: MetricsSnapshot plus service-shape gauges,
+  /// rendered as Prometheus text exposition. With collect_metrics the dump
+  /// only gains the collector series (window hit ratio, policy metrics).
   /// Thread-safe; takes the shard latches like any stats read.
-  std::string StatsText();
+  std::string StatsText() const;
 
  private:
   struct Shard {
@@ -323,15 +326,6 @@ class BufferService final : public core::PageSource {
     std::unique_ptr<core::BufferManager> buffer;
     std::atomic<uint64_t> latch_waits{0};
     std::atomic<uint64_t> latch_acquires{0};
-    // Delta bases of the idempotent metrics flush. Every flush samples its
-    // source exactly once and advances the base saturatingly, so a source
-    // that moved backwards (reset mid-run) flushes 0 instead of wrapping.
-    uint64_t flushed_latch_waits = 0;
-    uint64_t flushed_latch_acquires = 0;
-    uint64_t flushed_disk_reads = 0;
-    uint64_t flushed_optimistic_hits = 0;
-    uint64_t flushed_optimistic_retries = 0;
-    uint64_t flushed_version_conflicts = 0;
     // FetchBatch accounting (see ShardStats::batch_submits), latch-guarded.
     uint64_t batch_submits = 0;
     uint64_t batch_reads = 0;
@@ -351,13 +345,15 @@ class BufferService final : public core::PageSource {
                                      : shard.view.stats();
   }
 
-  /// Publishes the shard's aggregate counters into its collector (latch
-  /// already taken by the caller).
-  void FlushShardLocked(Shard& shard);
+  /// StatsOfShard body; the caller holds the shard latch.
+  ShardStats StatsOfShardLocked(Shard& shard) const;
+
+  /// One shard's metrics snapshot (ShardMetricsSnapshots). Takes the latch.
+  obs::MetricsSnapshot ShardMetrics(size_t shard) const;
 
   /// One-way transition into degraded read-only mode: first trigger wins
-  /// (CAS from kHealthy), records the wal.degraded_entries counter and a
-  /// kDegraded event in shard `s`'s collector. The caller must hold shard
+  /// (CAS from kHealthy), counts degraded_entries_ and records a kDegraded
+  /// event in shard `s`'s collector. The caller must hold shard
   /// `s`'s latch (collector access). Idempotent once degraded.
   void EnterDegraded(DegradedState why, size_t s, core::StatusCode code);
 

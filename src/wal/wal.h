@@ -11,7 +11,6 @@
 
 #include "core/access_context.h"
 #include "core/status.h"
-#include "obs/collector.h"
 #include "storage/disk_manager.h"
 #include "wal/log_record.h"
 
@@ -95,11 +94,8 @@ class WalManager {
  public:
   /// `device` must outlive the manager and must start empty (recovery
   /// re-opens a log by scanning, not by instantiating a WalManager on it).
-  /// `collector`, when given, receives wal.* counters and the group-commit
-  /// size histogram; it must not be shared with a concurrent mutator.
   explicit WalManager(storage::PageDevice* device,
-                      WalOptions options = WalOptions{},
-                      obs::Collector* collector = nullptr);
+                      WalOptions options = WalOptions{});
   ~WalManager();
 
   WalManager(const WalManager&) = delete;
@@ -200,16 +196,6 @@ class WalManager {
   core::Status sticky_error_ = core::Status::Ok();
 
   WalStats stats_;
-
-  obs::Collector* collector_ = nullptr;
-  obs::Counter* appends_metric_ = nullptr;
-  obs::Counter* commits_metric_ = nullptr;
-  obs::Counter* fsyncs_metric_ = nullptr;
-  obs::Counter* steals_metric_ = nullptr;
-  obs::Histogram* group_size_metric_ = nullptr;
-  /// Registered lazily on the first retry so the exported metric set of a
-  /// healthy run is unchanged. Guarded by mu_.
-  obs::Counter* write_retries_metric_ = nullptr;
 
   std::thread writer_;
 };

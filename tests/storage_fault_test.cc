@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -377,6 +378,15 @@ TEST_F(BufferRecoveryTest, BadSectorQuarantinesFrameAndFailsFast) {
   profile.bad_end = pages_[3] + 1;
   FaultInjectingDevice device(disk_, profile);
   BufferManager buffer(&device, 4, Lru());
+  const auto exported = [&buffer](std::string_view name) {
+    const obs::MetricsSnapshot snapshot = buffer.MetricsSnapshot();
+    return std::any_of(snapshot.begin(), snapshot.end(),
+                       [name](const obs::MetricValue& metric) {
+                         return metric.name == name;
+                       });
+  };
+  EXPECT_FALSE(exported("io.quarantined_frames"))
+      << "a healthy buffer exports no io.* series";
 
   const StatusOr<PageHandle> fetched =
       buffer.Fetch(pages_[3], AccessContext{1});
@@ -384,6 +394,11 @@ TEST_F(BufferRecoveryTest, BadSectorQuarantinesFrameAndFailsFast) {
   EXPECT_EQ(fetched.status().code(), StatusCode::kPermanentFailure);
   EXPECT_EQ(buffer.quarantined_count(), 1u);
   EXPECT_EQ(buffer.stats().io_quarantined_frames, 1u);
+  // The read-fault group appears with its first non-zero count; the
+  // write-fault group stays out of a read-only run's metric set.
+  EXPECT_TRUE(exported("io.quarantined_frames"));
+  EXPECT_TRUE(exported("io.read_retries"));
+  EXPECT_FALSE(exported("io.write_retries"));
   EXPECT_TRUE(buffer.IsBadPage(pages_[3]));
   EXPECT_EQ(device.fault_stats().injected(),
             buffer.stats().io_read_retries +

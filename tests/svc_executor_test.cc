@@ -165,7 +165,6 @@ TEST_F(SessionExecutorTest, SharedCandidateStaysClampedUnderRaces) {
   service_config.total_frames = 48;
   service_config.shard_count = 4;
   service_config.policy_spec = "ASB";
-  service_config.share_asb_tuning = true;
   BufferService service(*scenario_->disk, service_config);
   ASSERT_NE(service.shared_tuning(), nullptr);
   const int64_t max_candidate = service.shared_tuning()->max_candidate();

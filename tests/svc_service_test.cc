@@ -196,7 +196,6 @@ TEST_F(BufferServiceTest, SharedAsbTuningPublishesOneClampedCandidate) {
   config.total_frames = 60;
   config.shard_count = 3;
   config.policy_spec = "ASB";
-  config.share_asb_tuning = true;
   BufferService service(disk(), config);
   ASSERT_NE(service.shared_tuning(), nullptr);
 
@@ -240,34 +239,17 @@ TEST_F(BufferServiceTest, SharedAsbTuningPublishesOneClampedCandidate) {
   }
 }
 
-TEST_F(BufferServiceTest, PrivateTuningWhenSharingDisabled) {
-  BufferServiceConfig config;
-  config.total_frames = 30;
-  config.shard_count = 3;
-  config.policy_spec = "ASB";
-  config.share_asb_tuning = false;
-  BufferService service(disk(), config);
-  EXPECT_EQ(service.shared_tuning(), nullptr);
-  EXPECT_EQ(service.shared_candidate(), 0u);
-  for (size_t s = 0; s < service.shard_count(); ++s) {
-    const auto& policy = dynamic_cast<const core::AsbPolicy&>(
-        service.shard_buffer(s).policy());
-    EXPECT_EQ(policy.shared_tuning(), nullptr);
-  }
-}
-
 TEST_F(BufferServiceTest, NonAsbPolicyIgnoresSharing) {
   BufferServiceConfig config;
   config.total_frames = 12;
   config.shard_count = 2;
   config.policy_spec = "LRU";
-  config.share_asb_tuning = true;
   BufferService service(disk(), config);
   EXPECT_EQ(service.shared_tuning(), nullptr);
   EXPECT_EQ(service.shared_candidate(), 0u);
 }
 
-TEST_F(BufferServiceTest, MetricsMergeShardsAndFlushDeltas) {
+TEST_F(BufferServiceTest, MetricsMergeShardsIdempotently) {
   if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   BufferServiceConfig config;
   config.total_frames = 24;
@@ -300,7 +282,7 @@ TEST_F(BufferServiceTest, MetricsMergeShardsAndFlushDeltas) {
   ASSERT_NE(acquires, nullptr);
   EXPECT_GE(acquires->count, aggregate.buffer.requests);
 
-  // Delta-flush: snapshotting again without traffic must not double-count.
+  // Idempotent: snapshotting again without traffic must not double-count.
   obs::MetricsSnapshot again = service.MetricsSnapshot();
   EXPECT_EQ(find(again, "buffer.requests")->count, requests->count);
   EXPECT_EQ(find(again, "svc.disk_reads")->count, reads->count);
