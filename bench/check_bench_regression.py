@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guards over the BENCH_*.json JSON-Lines files.
 
-Two modes:
+Modes:
 
   obs-overhead BENCH_policy_overhead.json --max-frac 0.5
       Asserts every bench:"obs_overhead" row keeps overhead_frac at or
@@ -36,6 +36,15 @@ Two modes:
       in any row present in both files. hit_rate is derived as
       buffer_hits / buffer_requests when the row does not carry it
       directly, so the sweep rows work as-is.
+
+  decisions BASELINE.jsonl SWEEP.json [SWEEP.json ...] [--update]
+      Reduces the sweep rows to the replacement decisions they record
+      (bench, database, fraction, query_set, policy -> disk_reads,
+      buffer_hits, buffer.evictions) and fails unless, for every bench
+      present in the sweep files, the rows equal the checked-in baseline
+      exactly: no row changed, missing or added. --update rewrites the
+      baseline from the sweep files instead (for a change that moves a
+      counter on purpose; say why in CHANGES.md).
 
 Exit status: 0 clean, 1 regression found, 2 usage/input error.
 """
@@ -279,6 +288,65 @@ def check_writefault(args):
     return 1 if failures else 0
 
 
+DECISION_KEY = ("bench", "database", "fraction", "query_set", "policy")
+
+
+def decision_rows(paths):
+    rows = {}
+    for path in paths:
+        for row in read_rows(path):
+            if "disk_reads" not in row or "policy" not in row:
+                continue
+            decision = {field: row.get(field) for field in DECISION_KEY}
+            decision["disk_reads"] = row["disk_reads"]
+            decision["buffer_hits"] = row.get("buffer_hits")
+            # Sweep rows nest the counter under "metrics"; baseline rows
+            # carry it flat.
+            decision["buffer.evictions"] = row.get("metrics", {}).get(
+                "buffer.evictions", row.get("buffer.evictions"))
+            key = tuple(decision[field] for field in DECISION_KEY)
+            if key in rows:
+                print(f"{path}: duplicate decision row {key}",
+                      file=sys.stderr)
+                sys.exit(2)
+            rows[key] = decision
+    return rows
+
+
+def check_decisions(args):
+    current = decision_rows(args.sweeps)
+    if not current:
+        print("no decision rows in the sweep files", file=sys.stderr)
+        return 2
+    if args.update:
+        with open(args.baseline, "w", encoding="utf-8") as handle:
+            for key in sorted(current, key=repr):
+                handle.write(json.dumps(current[key], ensure_ascii=False,
+                                        sort_keys=True) + "\n")
+        print(f"wrote {len(current)} decision rows to {args.baseline}")
+        return 0
+    benches = {key[0] for key in current}
+    baseline = {key: row for key, row in
+                decision_rows([args.baseline]).items() if key[0] in benches}
+    failures = 0
+    for key in sorted(set(baseline) | set(current), key=repr):
+        label = "/".join(str(k) for k in key)
+        if key not in current:
+            print(f"FAIL {label}: baseline row missing from the sweep",
+                  file=sys.stderr)
+        elif key not in baseline:
+            print(f"FAIL {label}: row not in the baseline", file=sys.stderr)
+        elif current[key] != baseline[key]:
+            print(f"FAIL {label}: {current[key]} != baseline "
+                  f"{baseline[key]}", file=sys.stderr)
+        else:
+            continue
+        failures += 1
+    print(f"compared {len(current)} decision rows of {len(benches)} "
+          f"bench(es) against {args.baseline}: {failures} differ")
+    return 1 if failures else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -310,6 +378,12 @@ def main():
                         help="guard the write-fault chaos-soak rows")
     wf.add_argument("file")
 
+    dec = sub.add_parser("decisions",
+                         help="gate sweep decisions against a baseline")
+    dec.add_argument("baseline")
+    dec.add_argument("sweeps", nargs="+")
+    dec.add_argument("--update", action="store_true")
+
     args = parser.parse_args()
     if args.mode == "obs-overhead":
         sys.exit(check_obs_overhead(args))
@@ -319,6 +393,8 @@ def main():
         sys.exit(check_writeback(args))
     if args.mode == "writefault":
         sys.exit(check_writefault(args))
+    if args.mode == "decisions":
+        sys.exit(check_decisions(args))
     sys.exit(check_compare(args))
 
 

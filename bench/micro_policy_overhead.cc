@@ -154,7 +154,7 @@ EvictionCost MeasureEvictionCost(const std::string& policy, size_t frames,
 void RunEvictionCostTable() {
   const std::vector<std::string> policies = {"LRU", "A", "EO", "SLRU:A:0.25",
                                              "ASB"};
-  const std::vector<size_t> frame_counts = {256, 1024};
+  const std::vector<size_t> frame_counts = {256, 1024, 4096};
   const std::string json_path = "BENCH_policy_overhead.json";
   bool json_ok = true;
   for (const size_t frames : frame_counts) {

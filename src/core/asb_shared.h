@@ -15,7 +15,7 @@ namespace sdb::core {
 /// `c` would adapt on 1/N of the evidence and the shards would drift apart.
 /// Instead all shards share one atomically-published `c`: every shard's
 /// adaptation applies its +/-step to the shared value with a clamped CAS,
-/// and every shard re-reads the published value at its next demotion scan
+/// and every shard re-reads the published value at its next demotion walk
 /// (i.e. before the eviction decision it parameterizes). The paper's clamps
 /// hold globally — 1 <= c <= the smallest shard's main-section capacity —
 /// so the published value is usable by every shard unmodified.

@@ -5,7 +5,6 @@
 
 #include "common/macros.h"
 #include "core/asb_shared.h"
-#include "core/policy_slru.h"
 
 namespace sdb::core {
 
@@ -41,14 +40,13 @@ void AsbPolicy::Bind(const FrameMetaSource* meta, size_t frame_count) {
   candidate_ = std::clamp<int64_t>(
       std::llround(config_.initial_candidate_fraction *
                    static_cast<double>(main_target_)),
-      1, static_cast<int64_t>(main_target_));
+      1, MaxCandidate());
   if (shared_ != nullptr) {
     shared_->BindShard(candidate_, static_cast<int64_t>(main_target_));
     ReloadSharedCandidate();
   }
-  section_.assign(frame_count, Section::kNone);
-  fifo_.clear();
-  main_count_ = 0;
+  main_.Reset(frame_count);
+  fifo_.Reset(frame_count);
   overflow_hits_ = 0;
   increases_ = 0;
   decreases_ = 0;
@@ -69,25 +67,25 @@ void AsbPolicy::Bind(const FrameMetaSource* meta, size_t frame_count) {
 void AsbPolicy::OnPageLoaded(FrameId f, storage::PageId page,
                              const AccessContext& ctx) {
   PolicyBase::OnPageLoaded(f, page, ctx);
-  SDB_DCHECK(section_[f] == Section::kNone);
-  section_[f] = Section::kMain;
-  ++main_count_;
+  main_.LinkTail(f);
   Rebalance();
 }
 
 void AsbPolicy::OnPageAccessed(FrameId f, const AccessContext& ctx) {
-  if (section_[f] == Section::kOverflow) {
-    // The page had been selected for eviction but is needed after all: learn
-    // from the mistake (using the page's pre-access state), then move it
-    // back to the main section.
-    ++overflow_hits_;
-    Adapt(f, ctx);
-    Promote(f);
+  if (!fifo_.contains(f)) {
     PolicyBase::OnPageAccessed(f, ctx);
-    Rebalance();
+    main_.MoveToTail(f);
     return;
   }
+  // The page had been selected for eviction but is needed after all: learn
+  // from the mistake (using the page's pre-access state), then move it back
+  // to the main section, as its most recently used page.
+  ++overflow_hits_;
+  Adapt(f, ctx);
+  fifo_.Unlink(f);
   PolicyBase::OnPageAccessed(f, ctx);
+  main_.LinkTail(f);
+  Rebalance();
 }
 
 std::optional<FrameId> AsbPolicy::ChooseVictim(const AccessContext&,
@@ -95,33 +93,26 @@ std::optional<FrameId> AsbPolicy::ChooseVictim(const AccessContext&,
   // Normal case: the overflow FIFO decides. Skip (defensively) any entry
   // that is not evictable; such entries stay queued.
   size_t examined = 0;
-  for (FrameId f : fifo_) {
+  for (FrameId f = fifo_.head(); f != kInvalidFrameId; f = fifo_.next(f)) {
     ++examined;
-    const FrameState& s = frame(f);
-    if (s.valid && s.evictable) {
+    if (frame(f).evictable) {
       ObserveScanLength(examined);
       return f;
     }
   }
   // No usable overflow page (e.g. a buffer too small to sustain both
-  // sections): fall back to the combined rule over the whole buffer.
+  // sections): fall back to the combined rule over the main section.
   if (auto victim = SelectMainVictim()) return victim;
   return LruScan();
 }
 
 void AsbPolicy::OnPageEvicted(FrameId f, storage::PageId page) {
-  switch (section_[f]) {
-    case Section::kOverflow:
-      std::erase(fifo_, f);
-      break;
-    case Section::kMain:
-      SDB_DCHECK(main_count_ > 0);
-      --main_count_;
-      break;
-    case Section::kNone:
-      SDB_CHECK_MSG(false, "evicting an unlabelled frame");
+  if (fifo_.contains(f)) {
+    fifo_.Unlink(f);
+  } else {
+    SDB_CHECK_MSG(main_.contains(f), "evicting an unlabelled frame");
+    main_.Unlink(f);
   }
-  section_[f] = Section::kNone;
   PolicyBase::OnPageEvicted(f, page);
 }
 
@@ -130,7 +121,7 @@ void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
   const uint64_t p_last = frame(p).last_access;
   size_t better_spatial = 0;  // overflow pages the criterion keeps over p
   size_t better_lru = 0;      // overflow pages LRU keeps over p
-  for (FrameId g : fifo_) {
+  for (FrameId g = fifo_.head(); g != kInvalidFrameId; g = fifo_.next(g)) {
     if (g == p) continue;
     if (CritOf(g) > p_crit) ++better_spatial;
     if (frame(g).last_access > p_last) ++better_lru;
@@ -151,11 +142,10 @@ void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
       // this shard adopts the result (already within the global clamp,
       // which is at most this shard's main capacity).
       candidate_ = std::clamp<int64_t>(
-          shared_->ApplyStep(direction, step_), 1,
-          static_cast<int64_t>(main_target_));
+          shared_->ApplyStep(direction, step_), 1, MaxCandidate());
     } else {
       candidate_ = std::clamp<int64_t>(candidate_ + direction * step_, 1,
-                                       static_cast<int64_t>(main_target_));
+                                       MaxCandidate());
     }
   }
   if constexpr (obs::kEnabled) {
@@ -178,51 +168,26 @@ void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
   }
 }
 
-void AsbPolicy::Promote(FrameId f) {
-  SDB_DCHECK(section_[f] == Section::kOverflow);
-  std::erase(fifo_, f);
-  section_[f] = Section::kMain;
-  ++main_count_;
-}
-
 void AsbPolicy::Rebalance() {
-  while (main_count_ > main_target_) {
+  while (main_.size() > main_target_) {
     const std::optional<FrameId> demote = SelectMainVictim();
     if (!demote) break;  // every main page pinned; retry on a later event
-    section_[*demote] = Section::kOverflow;
-    fifo_.push_back(*demote);
-    --main_count_;
+    main_.Unlink(*demote);
+    fifo_.LinkTail(*demote);
   }
 }
 
 void AsbPolicy::ReloadSharedCandidate() {
   if (shared_ == nullptr) return;
-  candidate_ = std::clamp<int64_t>(shared_->Load(), 1,
-                                   static_cast<int64_t>(main_target_));
+  candidate_ = std::clamp<int64_t>(shared_->Load(), 1, MaxCandidate());
 }
 
 std::optional<FrameId> AsbPolicy::SelectMainVictim() {
   // Sharded operation: adopt the candidate size other shards may have
-  // adapted since this shard's last demotion scan.
+  // adapted since this shard's last demotion walk.
   ReloadSharedCandidate();
-  recency_keys_.clear();
-  recency_keys_.reserve(main_count_);
-  const uint64_t* versions = meta_versions();  // one virtual call per scan
-  for (FrameId f = 0; f < frame_count(); ++f) {
-    if (section_[f] != Section::kMain) continue;
-    const FrameState& s = frame(f);
-    if (!s.valid || !s.evictable) continue;
-    // Eager warm pass: refreshes the frame's cached criterion if stale, so
-    // the candidate loop below reads plain cached values.
-    CachedCriterionAt(config_.criterion, f, versions ? versions[f] : 0);
-    recency_keys_.push_back(PackRecencyKey(s.last_access, f));
-  }
-  ObserveScanLength(recency_keys_.size());
-  const FrameId victim = SelectSpatialLruVictim(
-      recency_keys_, static_cast<size_t>(candidate_),
-      [this](FrameId f) { return CriterionCacheValue(f); });
-  if (victim == kInvalidFrameId) return std::nullopt;
-  return victim;
+  return CombinedVictim(main_, config_.criterion,
+                        static_cast<size_t>(candidate_));
 }
 
 }  // namespace sdb::core

@@ -1,12 +1,11 @@
 #ifndef SPATIALBUFFER_CORE_POLICY_ASB_H_
 #define SPATIALBUFFER_CORE_POLICY_ASB_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <vector>
 
-#include "core/policy_slru.h"
+#include "core/frame_list.h"
 #include "core/replacement_policy.h"
 #include "core/spatial_criterion.h"
 
@@ -33,7 +32,9 @@ struct AsbConfig {
 /// for one is a buffer hit). Eviction takes the head of the overflow FIFO;
 /// the page demoted from the main section into the overflow FIFO is chosen
 /// by the combined rule of Sec. 4.1: the spatially worst page among the `c`
-/// least-recently-used main pages.
+/// least-recently-used main pages. The main section is a FrameList in
+/// recency order, so a demotion walks `c` entries from its head; the
+/// overflow FIFO is a FrameList in demotion order.
 ///
 /// `c` — the candidate-set size — is the self-tuning knob. When a request
 /// hits a page p in the overflow section, its eviction from the main section
@@ -58,7 +59,7 @@ class AsbPolicy : public PolicyBase {
   /// buffer service on every shard's policy; must be called before Bind).
   /// With a shared tuning attached, adaptation steps are applied to the
   /// shared value with a clamped CAS and the published value is re-read at
-  /// the start of every demotion scan; without one (the default) the policy
+  /// the start of every demotion walk; without one (the default) the policy
   /// tunes its private `c` exactly as in the paper.
   void set_shared_tuning(AsbSharedTuning* shared) { shared_ = shared; }
   AsbSharedTuning* shared_tuning() const { return shared_; }
@@ -80,6 +81,10 @@ class AsbPolicy : public PolicyBase {
   size_t overflow_capacity() const { return overflow_target_; }
   /// Pages currently labelled overflow.
   size_t overflow_size() const { return fifo_.size(); }
+  /// Main-section pages, least recently used first.
+  const FrameList& main_section() const { return main_; }
+  /// Overflow pages in demotion order: the eviction order.
+  const FrameList& overflow_fifo() const { return fifo_; }
   /// Adaptation step (in frames).
   size_t step() const { return static_cast<size_t>(step_); }
 
@@ -89,7 +94,11 @@ class AsbPolicy : public PolicyBase {
   uint64_t candidate_decreases() const { return decreases_; }
 
  private:
-  enum class Section : uint8_t { kNone, kMain, kOverflow };
+  /// Upper clamp of c: the main capacity, but at least 1 — a one-frame
+  /// buffer has no main section, and the walk still needs one candidate.
+  int64_t MaxCandidate() const {
+    return std::max<int64_t>(1, static_cast<int64_t>(main_target_));
+  }
 
   double CritOf(FrameId f) const {
     return CachedCriterion(config_.criterion, f);
@@ -105,9 +114,6 @@ class AsbPolicy : public PolicyBase {
   /// main capacity. No-op without a shared tuning.
   void ReloadSharedCandidate();
 
-  /// Moves an overflow page back into the main section.
-  void Promote(FrameId f);
-
   /// Demotes main pages into the overflow FIFO until the main section is
   /// within capacity.
   void Rebalance();
@@ -121,10 +127,8 @@ class AsbPolicy : public PolicyBase {
   size_t overflow_target_ = 0;
   int64_t step_ = 1;
   int64_t candidate_ = 1;
-  std::vector<Section> section_;
-  std::deque<FrameId> fifo_;  // overflow pages, demotion order
-  size_t main_count_ = 0;
-  std::vector<uint64_t> recency_keys_;  // demotion-scan scratch, reused
+  FrameList main_;  // main-section pages, least recently used first
+  FrameList fifo_;  // overflow pages, demotion order
   uint64_t overflow_hits_ = 0;
   uint64_t increases_ = 0;
   uint64_t decreases_ = 0;

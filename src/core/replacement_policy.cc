@@ -10,6 +10,7 @@ void PolicyBase::Bind(const FrameMetaSource* meta, size_t frame_count) {
   meta_ = meta;
   frames_.assign(frame_count, FrameState{});
   crit_cache_.assign(frame_count, CriterionCacheEntry{});
+  recency_.Reset(frame_count);
   clock_ = 0;
 }
 
@@ -46,6 +47,7 @@ void PolicyBase::OnPageLoaded(FrameId f, storage::PageId page,
   s.load_time = Tick();
   s.last_access = s.load_time;
   s.last_query = ctx.query_id;
+  recency_.LinkTail(f);
 }
 
 void PolicyBase::OnPageAccessed(FrameId f, const AccessContext& ctx) {
@@ -54,6 +56,7 @@ void PolicyBase::OnPageAccessed(FrameId f, const AccessContext& ctx) {
   SDB_DCHECK(s.valid);
   s.last_access = Tick();
   s.last_query = ctx.query_id;
+  recency_.MoveToTail(f);
 }
 
 void PolicyBase::SetEvictable(FrameId f, bool evictable) {
@@ -70,35 +73,56 @@ void PolicyBase::OnPageEvicted(FrameId f, storage::PageId page) {
   if constexpr (obs::kEnabled) {
     if (obs_ != nullptr) {
       // Victim recency rank: how many currently evictable pages are colder
-      // than the victim (0 = the LRU choice). O(frames), only when a
-      // collector is attached.
+      // than the victim (0 = the LRU choice), counted on the walk from the
+      // head of the recency list to the victim. Only with a collector.
       size_t rank = 0;
-      for (const FrameState& other : frames_) {
-        if (other.valid && other.evictable &&
-            other.last_access < s.last_access) {
-          ++rank;
-        }
+      for (FrameId g = recency_.head(); g != f; g = recency_.next(g)) {
+        if (frames_[g].evictable) ++rank;
       }
       obs_victim_rank_->Observe(static_cast<double>(rank));
     }
   }
+  recency_.Unlink(f);
   s = FrameState{};
 }
 
 std::optional<FrameId> PolicyBase::LruScan() const {
-  std::optional<FrameId> best;
-  uint64_t best_time = 0;
-  size_t examined = 0;
-  for (FrameId f = 0; f < frames_.size(); ++f) {
-    const FrameState& s = frames_[f];
-    if (!s.valid || !s.evictable) continue;
-    ++examined;
-    if (!best || s.last_access < best_time) {
-      best = f;
-      best_time = s.last_access;
+  size_t walked = 0;
+  for (FrameId f = recency_.head(); f != kInvalidFrameId;
+       f = recency_.next(f)) {
+    ++walked;
+    if (frames_[f].evictable) {
+      ObserveScanLength(walked);
+      return f;
     }
   }
-  ObserveScanLength(examined);
+  ObserveScanLength(walked);
+  return std::nullopt;
+}
+
+std::optional<FrameId> PolicyBase::CombinedVictim(const FrameList& list,
+                                                  SpatialCriterion crit,
+                                                  size_t candidates) const {
+  SDB_DCHECK(candidates >= 1);
+  const uint64_t* versions = meta_versions();  // one virtual call per walk
+  std::optional<FrameId> best;
+  double best_crit = 0.0;
+  size_t walked = 0;
+  size_t taken = 0;
+  for (FrameId f = list.head(); f != kInvalidFrameId && taken < candidates;
+       f = list.next(f)) {
+    ++walked;
+    if (!frames_[f].evictable) continue;
+    ++taken;
+    const double value =
+        CachedCriterionAt(crit, f, versions ? versions[f] : 0);
+    // Strict '<': the list runs oldest first, so ties keep the older frame.
+    if (!best || value < best_crit) {
+      best = f;
+      best_crit = value;
+    }
+  }
+  ObserveScanLength(walked);
   return best;
 }
 

@@ -7,16 +7,12 @@
 #include <vector>
 
 #include "core/access_context.h"
+#include "core/frame_list.h"
 #include "core/spatial_criterion.h"
 #include "obs/collector.h"
 #include "storage/page.h"
 
 namespace sdb::core {
-
-/// Index of a buffer frame.
-using FrameId = uint32_t;
-
-inline constexpr FrameId kInvalidFrameId = 0xffffffffu;
 
 /// Supplies the *current* metadata of the page resident in a frame. The
 /// buffer manager implements this with a per-frame cache of the decoded
@@ -83,10 +79,13 @@ class ReplacementPolicy {
 
 /// Shared bookkeeping for all concrete policies: a logical access clock plus
 /// per-frame state (validity, evictability, last/load access times, the
-/// query id of the most recent reference). Subclasses implement victim
-/// selection on top; most do a linear scan over the frames, which is exact,
-/// obviously faithful to the paper's definitions, and cheap at realistic
-/// buffer sizes.
+/// query id of the most recent reference), and every valid frame in one
+/// FrameList in ascending `last_access` order. Every clock tick moves the
+/// ticked frame to the tail of that list, so the least recently used frame
+/// is always at its head: LRU, SLRU and ASB select victims by walking it
+/// from the head (O(c) for a candidate set of c pages). The remaining
+/// policies do a linear scan over the frames, which is exact, obviously
+/// faithful to the paper's definitions, and cheap at realistic buffer sizes.
 class PolicyBase : public ReplacementPolicy {
  public:
   void Bind(const FrameMetaSource* meta, size_t frame_count) override;
@@ -108,7 +107,6 @@ class PolicyBase : public ReplacementPolicy {
   };
 
   /// Monotone logical time; advanced on every load/access.
-  uint64_t Tick() { return ++clock_; }
   uint64_t clock() const { return clock_; }
 
   const FrameMetaSource& meta_source() const { return *meta_; }
@@ -116,16 +114,16 @@ class PolicyBase : public ReplacementPolicy {
     return meta_->GetMeta(frame);
   }
 
-  /// spatialCrit(page in f), cached across victim scans: recomputed only
-  /// when the source reports a new metadata version for the frame, so a
-  /// steady-state scan is a flat array walk comparing doubles. A policy
+  /// spatialCrit(page in f), cached across victim selections: recomputed
+  /// only when the source reports a new metadata version for the frame, so
+  /// a steady-state candidate walk compares cached doubles. A policy
   /// instance must evaluate a single fixed criterion through this helper
   /// (all spatial policies do); mixing criteria would thrash the cache.
   double CachedCriterion(SpatialCriterion crit, FrameId f) const;
 
-  /// Scan-hoisted variant: `version` is the frame's current meta version as
+  /// Hoisted variant: `version` is the frame's current meta version as
   /// read from MetaVersionArray() (0 if the source is unversioned). Avoids
-  /// the per-frame virtual MetaVersion call inside hot victim scans.
+  /// the per-frame virtual MetaVersion call inside hot victim selection.
   double CachedCriterionAt(SpatialCriterion crit, FrameId f,
                            uint64_t version) const {
     CriterionCacheEntry& entry = crit_cache_[f];
@@ -146,26 +144,32 @@ class PolicyBase : public ReplacementPolicy {
     return meta_->MetaVersionArray();
   }
 
-  /// The value left in the criterion cache by the most recent
-  /// CachedCriterionAt call for this frame — no freshness check. Only valid
-  /// within one victim scan, after an eager CachedCriterionAt pass over the
-  /// eligible frames.
-  double CriterionCacheValue(FrameId f) const { return crit_cache_[f].value; }
-
   size_t frame_count() const { return frames_.size(); }
   FrameState& frame(FrameId f) { return frames_[f]; }
   const FrameState& frame(FrameId f) const { return frames_[f]; }
+
+  /// Every valid frame, least recently used first.
+  const FrameList& recency() const { return recency_; }
 
   /// Least-recently-used evictable frame, or nullopt if none: the universal
   /// fallback and tie-breaker.
   std::optional<FrameId> LruScan() const;
 
+  /// The combined victim rule of paper Sec. 4.1 over a list in ascending
+  /// `last_access` order: among its first `candidates` evictable entries
+  /// (the least recently used ones), the one with the smallest `crit`; ties
+  /// go to the less recently used entry. nullopt if no entry is evictable.
+  std::optional<FrameId> CombinedVictim(const FrameList& list,
+                                        SpatialCriterion crit,
+                                        size_t candidates) const;
+
   /// The attached collector (nullptr = observability off).
   obs::Collector* collector() const { return obs_; }
 
-  /// Records how many candidates one victim scan examined (histogram
-  /// policy.scan_len). Scan policies call this once per ChooseVictim /
-  /// demotion scan; a no-op without a collector.
+  /// Records how many candidates one victim selection examined (histogram
+  /// policy.scan_len): for a list walk, every entry walked, pinned ones
+  /// included; for a full scan, the evictable frames. Called once per
+  /// ChooseVictim / demotion walk; a no-op without a collector.
   void ObserveScanLength(size_t examined) const {
     if constexpr (obs::kEnabled) {
       if (obs_ != nullptr) {
@@ -180,8 +184,12 @@ class PolicyBase : public ReplacementPolicy {
     double value = 0.0;
   };
 
+  /// Advances the clock; callers move the frame to the tail of recency_.
+  uint64_t Tick() { return ++clock_; }
+
   const FrameMetaSource* meta_ = nullptr;
   std::vector<FrameState> frames_;
+  FrameList recency_;
   mutable std::vector<CriterionCacheEntry> crit_cache_;
   uint64_t clock_ = 0;
   obs::Collector* obs_ = nullptr;

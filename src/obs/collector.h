@@ -33,7 +33,8 @@ struct CollectorOptions {
 /// compare; compiled with SDB_OBS=OFF the sites vanish entirely. With a
 /// collector attached, the per-request cost is one sliding-window update
 /// (the buffer's counters live in BufferStats), per-eviction cost adds two
-/// histogram observations plus an O(frames) victim-recency-rank scan, and
+/// histogram observations plus a victim-recency-rank walk of the policy's
+/// recency list from its head to the victim (O(rank)), and
 /// event pushes are copies into a preallocated ring.
 class Collector {
  public:

@@ -56,7 +56,7 @@ struct BufferServiceConfig {
   /// Replacement policy of every shard (core::CreatePolicy spec). ASB
   /// shards share one globally-published candidate-set size
   /// (core::AsbSharedTuning): each adapts it by clamped CAS and re-reads it
-  /// before its next demotion scan, so the self-tuning sees the full
+  /// before its next demotion walk, so the self-tuning sees the full
   /// overflow-hit evidence instead of a 1/N slice per shard.
   std::string policy_spec = "ASB";
   /// Attach one obs::Collector per shard (mutated only under the shard

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "core/buffer_manager.h"
 #include "core/policy_slru.h"
@@ -15,52 +18,96 @@ using storage::PageType;
 using test::StageAreaPage;
 using test::Touch;
 
+// The combined victim rule of paper Sec. 4.1 (SelectSpatialLruVictimTest):
+// SLRU walks its recency list from the least recently used frame and picks
+// the smallest criterion among the first c evictable entries. These cases
+// drive SlruPolicy directly over frames whose criterion and recency the
+// test sets.
+
+/// Per-frame metadata under test control: the area criterion of frame f is
+/// the MBR area the test assigns (versions bump on every change).
+class FixedMeta : public FrameMetaSource {
+ public:
+  explicit FixedMeta(size_t frames) : meta_(frames), versions_(frames, 0) {}
+
+  void SetArea(FrameId f, double area) {
+    const double side = std::sqrt(area);
+    meta_[f].type = storage::PageType::kData;
+    meta_[f].mbr = geom::Rect(0, 0, side, side);
+    ++versions_[f];
+  }
+
+  storage::PageMeta GetMeta(FrameId f) const override { return meta_[f]; }
+  uint64_t MetaVersion(FrameId f) const override { return versions_[f]; }
+  const uint64_t* MetaVersionArray() const override {
+    return versions_.data();
+  }
+
+ private:
+  std::vector<storage::PageMeta> meta_;
+  std::vector<uint64_t> versions_;
+};
+
+/// Binds an SLRU(A) policy with candidate set `c` over `areas.size()`
+/// frames, then references the frames in `order` (first = least recently
+/// used) and leaves them all evictable.
+class CombinedRule {
+ public:
+  CombinedRule(const std::vector<double>& areas, size_t c,
+               const std::vector<FrameId>& order)
+      : meta_(areas.size()),
+        policy_(SpatialCriterion::kArea,
+                static_cast<double>(c) / static_cast<double>(areas.size())) {
+    policy_.Bind(&meta_, areas.size());
+    for (FrameId f = 0; f < areas.size(); ++f) meta_.SetArea(f, areas[f]);
+    for (const FrameId f : order) {
+      policy_.OnPageLoaded(f, f, AccessContext{});
+      policy_.SetEvictable(f, true);
+    }
+  }
+
+  std::optional<FrameId> Victim() {
+    return policy_.ChooseVictim(AccessContext{}, storage::kInvalidPageId);
+  }
+
+ private:
+  FixedMeta meta_;
+  SlruPolicy policy_;
+};
+
 TEST(SelectSpatialLruVictimTest, EmptyInputYieldsInvalid) {
-  std::vector<SpatialLruCandidate> none;
-  EXPECT_EQ(SelectSpatialLruVictim(none, 3), kInvalidFrameId);
+  CombinedRule empty({1.0, 2.0, 3.0}, 3, {});
+  EXPECT_EQ(empty.Victim(), std::nullopt);
 }
 
 TEST(SelectSpatialLruVictimTest, CandidateSetOfOneIsPlainLru) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, /*last_access=*/10, /*crit=*/0.1},
-      {1, /*last_access=*/5, /*crit=*/99.0},  // LRU but spatially best
-      {2, /*last_access=*/7, /*crit=*/0.2},
-  };
-  EXPECT_EQ(SelectSpatialLruVictim(all, 1), 1u);
+  // Frame 1 is least recently used but spatially the best.
+  CombinedRule rule({0.1, 99.0, 0.2, 5.0}, 1, {1, 2, 0, 3});
+  EXPECT_EQ(rule.Victim(), 1u);
 }
 
 TEST(SelectSpatialLruVictimTest, FullCandidateSetIsPureSpatial) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, 10, 0.5},
-      {1, 5, 99.0},
-      {2, 7, 0.2},  // smallest criterion
-  };
-  EXPECT_EQ(SelectSpatialLruVictim(all, 3), 2u);
+  CombinedRule rule({0.5, 99.0, 0.2}, 3, {1, 2, 0});  // frame 2 smallest
+  EXPECT_EQ(rule.Victim(), 2u);
 }
 
 TEST(SelectSpatialLruVictimTest, SpatialAppliesOnlyWithinLruCandidates) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, 1, 50.0},   // oldest
-      {1, 2, 40.0},   // second oldest
-      {2, 3, 0.001},  // spatially tiny but recently used
-  };
   // Candidates = the 2 least recently used = frames 0 and 1; among them the
-  // smaller criterion (frame 1) is the victim. Frame 2 is protected by LRU.
-  EXPECT_EQ(SelectSpatialLruVictim(all, 2), 1u);
+  // smaller criterion (frame 1) is the victim. Frame 2 is spatially tiny but
+  // recently used, so LRU protects it.
+  CombinedRule rule({50.0, 40.0, 0.001, 60.0}, 2, {0, 1, 2, 3});
+  EXPECT_EQ(rule.Victim(), 1u);
 }
 
 TEST(SelectSpatialLruVictimTest, TieOnCriterionFallsBackToLru) {
-  std::vector<SpatialLruCandidate> all = {
-      {0, 9, 1.0},
-      {1, 4, 1.0},
-      {2, 6, 1.0},
-  };
-  EXPECT_EQ(SelectSpatialLruVictim(all, 3), 1u);
+  CombinedRule rule({1.0, 1.0, 1.0}, 3, {1, 2, 0});
+  EXPECT_EQ(rule.Victim(), 1u);
 }
 
 TEST(SelectSpatialLruVictimTest, OversizedCandidateCountIsClamped) {
-  std::vector<SpatialLruCandidate> all = {{0, 1, 2.0}, {1, 2, 1.0}};
-  EXPECT_EQ(SelectSpatialLruVictim(all, 100), 1u);
+  // Only two of four frames are resident: a candidate set of 4 covers both.
+  CombinedRule rule({2.0, 1.0, 0.5, 0.25}, 4, {0, 1});
+  EXPECT_EQ(rule.Victim(), 1u);
 }
 
 class SlruPolicyTest : public ::testing::Test {
