@@ -299,10 +299,11 @@ void RunAdaptationTimeline(const sim::Scenario& scenario) {
   service_config.fault_profile = bench::BenchFaultProfile();
   svc::BufferService service(*scenario.disk, service_config);
 
-  obs::TracerOptions tracer_options;
-  tracer_options.sample_every =
+  const uint64_t trace_sample_every =
       bench::EnvSizeT("SDB_BENCH_TRACE_SAMPLE", 64);
-  obs::Tracer tracer(tracer_options);
+  // Both phases' spans, each phase's in session submission order.
+  std::vector<obs::Event> spans;
+  uint64_t spans_dropped = 0;
 
   obs::TelemetryHubOptions hub_options;
   hub_options.window_clock_interval =
@@ -330,7 +331,7 @@ void RunAdaptationTimeline(const sim::Scenario& scenario) {
     svc::SessionExecutorConfig executor_config;
     executor_config.workers = kWorkers;
     executor_config.queue_capacity = 2 * kWorkers;
-    executor_config.tracer = &tracer;
+    executor_config.trace_sample_every = trace_sample_every;
     executor_config.session_index_offset = index_offset;
     svc::SessionExecutor executor(scenario.disk.get(), &service,
                                   scenario.tree_meta, executor_config);
@@ -339,6 +340,9 @@ void RunAdaptationTimeline(const sim::Scenario& scenario) {
       executor.Submit(session);
     }
     executor.Finish();
+    const std::vector<obs::Event> phase_spans = executor.Spans();
+    spans.insert(spans.end(), phase_spans.begin(), phase_spans.end());
+    spans_dropped += executor.spans_dropped();
   };
   hub.Sample(0, service.MetricsSnapshot(), service.shared_candidate());
   run_phase(/*uniform=*/true, 0);
@@ -384,7 +388,6 @@ void RunAdaptationTimeline(const sim::Scenario& scenario) {
 
   // Span accounting: every sampled query trace should show the full
   // session -> query -> shard-fetch causality chain at least once.
-  const std::vector<obs::Event> spans = tracer.Spans();
   uint64_t sessions = 0, queries = 0, shard_fetches = 0;
   for (const obs::Event& span : spans) {
     switch (obs::SpanKindOf(span)) {
@@ -399,12 +402,12 @@ void RunAdaptationTimeline(const sim::Scenario& scenario) {
       "shard-fetch (%llu emitted, %llu dropped)\n",
       static_cast<unsigned long long>(sessions),
       static_cast<unsigned long long>(queries),
-      static_cast<unsigned long long>(tracer.sample_every()),
+      static_cast<unsigned long long>(trace_sample_every),
       static_cast<unsigned long long>(shard_fetches),
-      static_cast<unsigned long long>(tracer.total()),
-      static_cast<unsigned long long>(tracer.dropped()));
+      static_cast<unsigned long long>(spans.size() + spans_dropped),
+      static_cast<unsigned long long>(spans_dropped));
   const std::string trace_path = bench::BenchTracePath();
-  if (!trace_path.empty() && !tracer.WriteChromeTrace(trace_path)) {
+  if (!trace_path.empty() && !obs::WriteChromeTrace(trace_path, spans)) {
     std::fprintf(stderr, "warning: could not write %s\n",
                  trace_path.c_str());
   }

@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -150,41 +151,67 @@ EvictionCost MeasureEvictionCost(const std::string& policy, size_t frames,
 /// eviction loop per policy and buffer size, plus an observability A/B
 /// column (collector attached, ring at its default capacity) quantifying
 /// the instrumentation cost the obs subsystem promises to keep near zero
-/// when detached.
+/// when detached. Each cell is the median of kRepeats runs; the JSON row
+/// carries the min and max beside it.
 void RunEvictionCostTable() {
   const std::vector<std::string> policies = {"LRU", "A", "EO", "SLRU:A:0.25",
                                              "ASB"};
   const std::vector<size_t> frame_counts = {256, 1024, 4096};
+  // Repeats per cell, alternating plain and observed so drift on the host
+  // hits both sides alike; cells report the median and the spread.
+  constexpr int kRepeats = 5;
   const std::string json_path = "BENCH_policy_overhead.json";
   bool json_ok = true;
   for (const size_t frames : frame_counts) {
-    sim::Table table(
-        {"policy", "ns/evict", "ns/evict (obs)", "decodes/evict"});
+    sim::Table table({"policy", "ns/evict", "min-max", "ns/evict (obs)",
+                      "min-max (obs)", "decodes/evict"});
     for (const std::string& policy : policies) {
-      const EvictionCost cost = MeasureEvictionCost(policy, frames);
-      obs::Collector collector;
-      const EvictionCost observed =
-          MeasureEvictionCost(policy, frames, &collector);
-      table.AddRow({policy, sim::FormatDouble(cost.ns_per_eviction, 1),
-                    sim::FormatDouble(observed.ns_per_eviction, 1),
+      EvictionCost cost;
+      std::vector<double> plain_ns, observed_ns;
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        const EvictionCost plain = MeasureEvictionCost(policy, frames);
+        obs::Collector collector;
+        const EvictionCost observed =
+            MeasureEvictionCost(policy, frames, &collector);
+        if (rep == 0) cost = plain;  // decodes and evictions are exact
+        plain_ns.push_back(plain.ns_per_eviction);
+        observed_ns.push_back(observed.ns_per_eviction);
+      }
+      std::sort(plain_ns.begin(), plain_ns.end());
+      std::sort(observed_ns.begin(), observed_ns.end());
+      const double plain_median = plain_ns[kRepeats / 2];
+      const double observed_median = observed_ns[kRepeats / 2];
+      const auto range = [](const std::vector<double>& ns) {
+        return sim::FormatDouble(ns.front(), 1) + "-" +
+               sim::FormatDouble(ns.back(), 1);
+      };
+      table.AddRow({policy, sim::FormatDouble(plain_median, 1),
+                    range(plain_ns), sim::FormatDouble(observed_median, 1),
+                    range(observed_ns),
                     sim::FormatDouble(cost.decodes_per_eviction, 2)});
-      char line[512];
+      char line[640];
       std::snprintf(
           line, sizeof(line),
           "{\"schema_version\":%d,"
           "\"bench\":\"policy_overhead\",\"policy\":\"%s\","
           "\"frames\":%zu,\"ns_per_eviction\":%.1f,"
           "\"ns_per_eviction_obs\":%.1f,\"decodes_per_eviction\":%.3f,"
-          "\"evictions\":%llu}",
+          "\"evictions\":%llu,\"repeats\":%d,"
+          "\"ns_per_eviction_min\":%.1f,\"ns_per_eviction_max\":%.1f,"
+          "\"ns_per_eviction_obs_min\":%.1f,"
+          "\"ns_per_eviction_obs_max\":%.1f}",
           obs::kBenchJsonSchemaVersion,
-          sim::JsonEscape(policy).c_str(), frames, cost.ns_per_eviction,
-          observed.ns_per_eviction, cost.decodes_per_eviction,
-          static_cast<unsigned long long>(cost.evictions));
+          sim::JsonEscape(policy).c_str(), frames, plain_median,
+          observed_median, cost.decodes_per_eviction,
+          static_cast<unsigned long long>(cost.evictions), kRepeats,
+          plain_ns.front(), plain_ns.back(), observed_ns.front(),
+          observed_ns.back());
       json_ok = sim::AppendJsonLine(json_path, line) && json_ok;
     }
     char title[128];
-    std::snprintf(title, sizeof(title), "eviction cost — %zu frames",
-                  frames);
+    std::snprintf(title, sizeof(title),
+                  "eviction cost — %zu frames, median of %d", frames,
+                  kRepeats);
     table.Print(title);
   }
   if (!json_ok) {

@@ -368,7 +368,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     }
     SDB_CHECK(frame.page != storage::kInvalidPageId);
     if (prefer_clean && frame.dirty &&
-        dirty_skipped.size() < writeback_.max_clean_scan) {
+        dirty_skipped.size() < kMaxCleanScan) {
       if (concurrent_) sync_[f].Unlock();
       policy_->SetEvictable(f, false);
       dirty_skipped.push_back(f);
@@ -431,37 +431,13 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
       }
     }
     if (status.ok()) {
-      if (failures > 0) {
-        ++stats_.io_recovered_reads;
-        if constexpr (obs::kEnabled) {
-          if (obs_ != nullptr) {
-            obs::Event event;
-            event.kind = obs::EventKind::kIoRecovered;
-            event.frame = f;
-            event.page = page;
-            event.a = failures;
-            obs_->events().Push(event);
-          }
-        }
-      }
+      if (failures > 0) ++stats_.io_recovered_reads;
       return status;
-    }
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        obs::Event event;
-        event.kind = obs::EventKind::kIoFault;
-        event.flag = status.retryable();
-        event.frame = f;
-        event.page = page;
-        event.a = failures;
-        event.b = static_cast<uint64_t>(status.code());
-        obs_->events().Push(event);
-      }
     }
     if (!status.retryable() || failures >= resilience_.max_read_retries) {
       ++stats_.io_permanent_failures;
       bad_pages_.emplace(page, status.code());
-      QuarantineFrame(f, page);
+      QuarantineFrame(f);
       return status;
     }
     ++failures;
@@ -471,7 +447,7 @@ Status BufferManager::ReadPageWithRecovery(FrameId f, storage::PageId page) {
   }
 }
 
-void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
+void BufferManager::QuarantineFrame(FrameId f) {
   Frame& frame = frames_[f];
   SDB_DCHECK(frame.page == storage::kInvalidPageId);
   SDB_DCHECK(PinCount(f) == 0);
@@ -482,16 +458,6 @@ void BufferManager::QuarantineFrame(FrameId f, storage::PageId page) {
     frame.quarantined = true;
     ++quarantined_count_;
     ++stats_.io_quarantined_frames;
-    if constexpr (obs::kEnabled) {
-      if (obs_ != nullptr) {
-        obs::Event event;
-        event.kind = obs::EventKind::kFrameQuarantined;
-        event.frame = f;
-        event.page = page;
-        event.a = quarantined_count_;
-        obs_->events().Push(event);
-      }
-    }
     return;
   }
   // Cap reached: the frame itself is not the failure in this fault model
@@ -527,7 +493,7 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   frame.write_failures = 0;
   frame.page = storage::kInvalidPageId;
   ++stats_.io_write_quarantined;
-  QuarantineFrame(f, page);
+  QuarantineFrame(f);
 }
 
 void BufferManager::BackoffBeforeRetry(uint32_t failures,
@@ -549,7 +515,10 @@ void BufferManager::BackoffBeforeRetry(uint32_t failures,
 obs::MetricsSnapshot BufferManager::MetricsSnapshot() const {
   obs::MetricsRegistry registry;
   if constexpr (obs::kEnabled) {
-    if (obs_ != nullptr) registry.Merge(obs_->metrics().Snapshot());
+    if (obs_ != nullptr) {
+      registry.Merge(obs_->metrics().Snapshot());
+      policy_->RenderMetrics(&registry);
+    }
   }
   const auto counter = [&registry](std::string_view name, uint64_t value) {
     registry.GetCounter(name)->Add(value);
@@ -920,7 +889,6 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
   SDB_CHECK_MSG(!concurrent_, "EnableConcurrency is one-shot");
   SDB_CHECK_MSG(page_table_.empty() && stats_.requests == 0,
                 "enable concurrency before traffic");
-  concurrent_options_ = options;
   sync_ = std::make_unique<FrameSync[]>(frames_.size());
   concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
   deferred_ = std::make_unique<AccessEventRing>(
@@ -931,8 +899,7 @@ void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
 std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     storage::PageId page, const AccessContext& ctx) {
   SDB_DCHECK(concurrent_);
-  for (uint32_t attempt = 0;
-       attempt <= concurrent_options_.max_optimistic_retries; ++attempt) {
+  for (uint32_t attempt = 0; attempt <= kMaxOptimisticRetries; ++attempt) {
     if (attempt > 0) {
       optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
     }

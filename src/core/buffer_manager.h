@@ -154,9 +154,11 @@ struct ConcurrentOptions {
   /// Capacity of the deferred-event ring (rounded up to a power of two). A
   /// full ring falls back to the exclusive path, so this bounds deferral.
   size_t event_ring_capacity = 1024;
-  /// Optimistic probe attempts before giving up and taking the latch.
-  uint32_t max_optimistic_retries = 3;
 };
+
+/// Optimistic probe attempts of TryOptimisticFetch before it gives up and
+/// the caller takes the latch.
+inline constexpr uint32_t kMaxOptimisticRetries = 3;
 
 /// Background write-back knobs (ConfigureBackgroundWriteback). Disabled by
 /// default: eviction then writes dirty victims back synchronously inside
@@ -165,8 +167,8 @@ struct WritebackOptions {
   /// When on, eviction prefers clean victims while the dirty ratio is at or
   /// below `high_watermark`, leaving dirty pages to the background flusher;
   /// a synchronous foreground write-back only happens past the high
-  /// watermark or when no clean victim exists within `max_clean_scan`
-  /// skips, counted in BufferStats::sync_writeback_fallbacks.
+  /// watermark or when no clean victim exists within kMaxCleanScan skips,
+  /// counted in BufferStats::sync_writeback_fallbacks.
   bool enabled = false;
   /// Dirty ratio (dirty frames / usable frames) at or below which the
   /// flusher leaves the pool alone — a small dirty set is free write
@@ -174,10 +176,12 @@ struct WritebackOptions {
   double low_watermark = 0.10;
   /// Dirty ratio above which eviction stops waiting for the flusher.
   double high_watermark = 0.50;
-  /// Dirty victims one frame acquisition will set aside while hunting for
-  /// a clean victim before giving up and writing back synchronously.
-  size_t max_clean_scan = 8;
 };
+
+/// Dirty victims one frame acquisition will set aside while hunting for a
+/// clean victim (background write-back on) before giving up and writing
+/// back synchronously.
+inline constexpr size_t kMaxCleanScan = 8;
 
 /// One dirty frame selected by HarvestFlushCandidates for background
 /// write-back.
@@ -481,8 +485,9 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// an in-place update (steady-state victim scans decode nothing).
   uint64_t header_decodes() const { return header_decodes_; }
 
-  /// The buffer's metrics: the attached collector's registry (if any)
-  /// merged with counters rendered from stats() and header_decodes().
+  /// The buffer's metrics: the attached collector's registry and the
+  /// policy's RenderMetrics counters (if a collector is attached) merged
+  /// with counters rendered from stats() and header_decodes().
   /// buffer.* is always present; the io.* read group (retries, checksum
   /// mismatches, quarantined frames, permanent failures) and the write
   /// group (write retries, write quarantines) only once one of their counts
@@ -539,7 +544,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   /// Takes `frame` out of service (or recycles it once the quarantine cap
   /// is hit) after a terminal read failure.
-  void QuarantineFrame(FrameId frame, storage::PageId page);
+  void QuarantineFrame(FrameId frame);
 
   /// Write-side escalation: detaches the (dirty, wal_logged) page from the
   /// tables, remembers the page as bad (its only current image is in the
@@ -655,7 +660,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   obs::Collector* obs_ = nullptr;
   // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
   bool concurrent_ = false;
-  ConcurrentOptions concurrent_options_;
   // One sync word per frame; sized with frames_ at EnableConcurrency.
   std::unique_ptr<FrameSync[]> sync_;
   // Lock-free-readable mirror of page_table_, maintained by every exclusive

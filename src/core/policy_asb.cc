@@ -19,12 +19,14 @@ void AsbPolicy::SetCollector(obs::Collector* collector) {
   PolicyBase::SetCollector(collector);
   if constexpr (!obs::kEnabled) return;
   if (collector == nullptr) return;
-  obs_overflow_hits_ = collector->metrics().GetCounter("asb.overflow_hits");
-  obs_increases_ =
-      collector->metrics().GetCounter("asb.candidate_increases");
-  obs_decreases_ =
-      collector->metrics().GetCounter("asb.candidate_decreases");
   obs_candidate_ = collector->metrics().GetGauge("asb.candidate");
+}
+
+void AsbPolicy::RenderMetrics(obs::MetricsRegistry* registry) const {
+  if (collector() == nullptr) return;
+  registry->GetCounter("asb.overflow_hits")->Add(overflow_hits_);
+  registry->GetCounter("asb.candidate_increases")->Add(increases_);
+  registry->GetCounter("asb.candidate_decreases")->Add(decreases_);
 }
 
 void AsbPolicy::Bind(const FrameMetaSource* meta, size_t frame_count) {
@@ -150,9 +152,6 @@ void AsbPolicy::Adapt(FrameId p, const AccessContext& ctx) {
   }
   if constexpr (obs::kEnabled) {
     if (obs::Collector* c = collector()) {
-      obs_overflow_hits_->Add();
-      if (direction > 0) obs_increases_->Add();
-      if (direction < 0) obs_decreases_->Add();
       obs_candidate_->Set(static_cast<double>(candidate_));
       obs::Event event;
       event.kind = obs::EventKind::kAsbAdapt;

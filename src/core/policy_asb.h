@@ -66,6 +66,9 @@ class AsbPolicy : public PolicyBase {
 
   void Bind(const FrameMetaSource* meta, size_t frame_count) override;
   void SetCollector(obs::Collector* collector) override;
+  /// asb.overflow_hits / asb.candidate_increases / asb.candidate_decreases,
+  /// rendered from the typed counters below.
+  void RenderMetrics(obs::MetricsRegistry* registry) const override;
   void OnPageLoaded(FrameId frame, storage::PageId page,
                     const AccessContext& ctx) override;
   void OnPageAccessed(FrameId frame, const AccessContext& ctx) override;
@@ -132,10 +135,7 @@ class AsbPolicy : public PolicyBase {
   uint64_t overflow_hits_ = 0;
   uint64_t increases_ = 0;
   uint64_t decreases_ = 0;
-  // Cached metric handles; all nullptr without a collector.
-  obs::Counter* obs_overflow_hits_ = nullptr;
-  obs::Counter* obs_increases_ = nullptr;
-  obs::Counter* obs_decreases_ = nullptr;
+  // The candidate gauge handle; nullptr without a collector.
   obs::Gauge* obs_candidate_ = nullptr;
 };
 

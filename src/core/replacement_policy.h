@@ -68,6 +68,14 @@ class ReplacementPolicy {
   /// events at bind time. Policies that do not emit anything may ignore it.
   virtual void SetCollector(obs::Collector* collector) { (void)collector; }
 
+  /// Adds the policy's own counters to `registry` when a metrics snapshot
+  /// is taken (BufferManager::MetricsSnapshot, only while a collector is
+  /// attached). Policies render from their typed counters here instead of
+  /// mirroring them into the collector on every event.
+  virtual void RenderMetrics(obs::MetricsRegistry* registry) const {
+    (void)registry;
+  }
+
   virtual void OnPageLoaded(FrameId frame, storage::PageId page,
                             const AccessContext& ctx) = 0;
   virtual void OnPageAccessed(FrameId frame, const AccessContext& ctx) = 0;

@@ -28,30 +28,11 @@ enum class EventKind : uint8_t {
   /// set — this is the trace-recording mode). page = requested page,
   /// flag = it was a hit.
   kPageAccess,
-  /// One failed read attempt during a fetch. page = the page, frame = the
-  /// staging frame, flag = the failure is retryable, a = failures so far
-  /// (before this one), b = core::StatusCode of the failure.
-  kIoFault,
-  /// A fetch succeeded after at least one failed attempt. page/frame as in
-  /// kIoFault, a = how many attempts failed before the clean read.
-  kIoRecovered,
-  /// A frame was taken out of service after a terminal read failure.
-  /// page = the page that poisoned it, frame = the quarantined frame,
-  /// a = quarantined frames in this buffer after the event.
-  kFrameQuarantined,
   /// One closed tracing span (see obs/trace.h). query = trace id,
   /// delta = SpanKind, frame = parent span id << 16 | span id,
-  /// a = track << 32 | kind-specific payload, b = begin ns (tracer epoch),
+  /// a = track << 32 | kind-specific payload, b = begin ns (steady clock),
   /// c = duration ns, page = page id when the span covers one page.
   kSpan,
-  /// The service entered degraded read-only mode. a = the trigger
-  /// (svc::DegradedState as an integer), b = core::StatusCode of the error
-  /// that tripped it, frame = the shard that observed the trigger.
-  kDegraded,
-  /// The background flusher backed off a persistently failing shard instead
-  /// of hot-spinning on it. frame = the shard, a = consecutive failed flush
-  /// rounds, b = harvest rounds the shard will now be skipped for.
-  kFlushBackoff,
 };
 
 /// One structured event. Plain 48-byte POD; pushing is a copy into a

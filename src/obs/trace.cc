@@ -1,44 +1,21 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <chrono>
+#include <vector>
 
 #include "obs/export.h"
 
 namespace sdb::obs {
 
-Tracer::Tracer(const TracerOptions& options)
-    : sample_every_(options.sample_every),
-      epoch_(std::chrono::steady_clock::now()),
-      ring_(options.event_capacity) {}
+namespace {
 
-uint64_t Tracer::NowNs() const {
+uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
+          std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-void Tracer::Emit(const Event& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.Push(event);
-}
-
-std::vector<Event> Tracer::Spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.Snapshot();
-}
-
-uint64_t Tracer::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.total();
-}
-
-uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.dropped();
-}
-
-namespace {
 
 const char* SpanName(SpanKind kind) {
   switch (kind) {
@@ -48,30 +25,25 @@ const char* SpanName(SpanKind kind) {
       return "query";
     case SpanKind::kShardFetch:
       return "shard_fetch";
-    case SpanKind::kWalAppend:
-      return "wal_append";
-    case SpanKind::kCheckpoint:
-      return "checkpoint";
-    case SpanKind::kRecovery:
-      return "recovery";
-    case SpanKind::kFlush:
-      return "flush";
   }
   return "span";
 }
 
 }  // namespace
 
-bool Tracer::WriteChromeTrace(const std::string& path) const {
-  std::vector<Event> spans = Spans();
+bool WriteChromeTrace(const std::string& path, std::span<const Event> spans) {
+  std::vector<Event> sorted;
+  for (const Event& span : spans) {
+    if (span.kind == EventKind::kSpan) sorted.push_back(span);
+  }
   // Oldest-first by begin time keeps the renderer's nesting stable even
-  // though spans are ring-ordered by *end* time.
-  std::stable_sort(spans.begin(), spans.end(),
+  // though each ring holds its spans in *end* order.
+  std::stable_sort(sorted.begin(), sorted.end(),
                    [](const Event& l, const Event& r) { return l.b < r.b; });
+  const uint64_t origin = sorted.empty() ? 0 : sorted.front().b;
   ChromeTraceWriter writer;
   std::vector<uint32_t> tracks;
-  for (const Event& span : spans) {
-    if (span.kind != EventKind::kSpan) continue;
+  for (const Event& span : sorted) {
     const uint32_t track = SpanTrackOf(span);
     if (std::find(tracks.begin(), tracks.end(), track) == tracks.end()) {
       tracks.push_back(track);
@@ -82,7 +54,7 @@ bool Tracer::WriteChromeTrace(const std::string& path) const {
     name += std::to_string(span.query);
     name += ".";
     name += std::to_string(SpanIdOf(span));
-    writer.AddCompleteEventNs(name, track, span.b, span.c, "trace");
+    writer.AddCompleteEventNs(name, track, span.b - origin, span.c, "trace");
   }
   return writer.Write(path);
 }
@@ -93,11 +65,11 @@ void ScopedSpan::Begin(SpanContext* span, SpanKind kind) {
   id_ = span->NewSpanId();
   saved_parent_ = span->parent;
   span->parent = id_;
-  begin_ns_ = span->tracer->NowNs();
+  begin_ns_ = NowNs();
 }
 
 void ScopedSpan::End() {
-  const uint64_t end_ns = span_->tracer->NowNs();
+  const uint64_t end_ns = NowNs();
   Event event;
   event.kind = EventKind::kSpan;
   event.delta = static_cast<int8_t>(kind_);
@@ -111,7 +83,7 @@ void ScopedSpan::End() {
   event.b = begin_ns_;
   event.c = end_ns - begin_ns_;
   span_->parent = saved_parent_;
-  span_->tracer->Emit(event);
+  span_->sink->Push(event);
   span_ = nullptr;
 }
 

@@ -1,12 +1,9 @@
 #ifndef SPATIALBUFFER_OBS_TRACE_H_
 #define SPATIALBUFFER_OBS_TRACE_H_
 
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -18,22 +15,11 @@ namespace sdb::obs {
 /// per-shard batch group). kSession spans are one-per-session roots
 /// of their own trace (trace id = the session's query-id stride base), so a
 /// session's sampled queries nest inside it by time containment on the
-/// session's track.
+/// session's track. Values 3-8 are retired kinds that no site emitted.
 enum class SpanKind : int8_t {
   kSession = 0,
   kQuery = 1,
   kShardFetch = 2,
-  // 3 and 4 are retired: the kinds below keep their numbers so traces
-  // written earlier decode unchanged.
-  /// One WAL commit group (payload = image count, flag = forced steal).
-  kWalAppend = 5,
-  /// Checkpoint: commit + force dirty pages + checkpoint record.
-  kCheckpoint = 6,
-  /// Redo recovery pass (payload = replayed pages, flag = torn tail).
-  kRecovery = 7,
-  /// One background flusher round over a shard (payload = pages flushed,
-  /// flag = harvest hit the per-round batch cap).
-  kFlush = 8,
 };
 
 /// Field packing of a kSpan event (see EventKind::kSpan):
@@ -55,62 +41,14 @@ inline SpanKind SpanKindOf(const Event& event) {
   return static_cast<SpanKind>(event.delta);
 }
 
-/// Construction knobs of a Tracer.
-struct TracerOptions {
-  /// Sample one query trace in every `sample_every` (a trace id is sampled
-  /// iff id % sample_every == 0, so the choice is deterministic per query
-  /// id, not per run). 0 disables query sampling entirely; 1 samples every
-  /// query.
-  uint64_t sample_every = 1;
-  /// Span-ring capacity (EventRing semantics: keep the newest, count the
-  /// rest in dropped()).
-  size_t event_capacity = size_t{1} << 16;
-};
-
-/// Thread-safe sink of kSpan events. One tracer serves every session worker
-/// of an executor run: emission takes a mutex, which is acceptable because
-/// only sampled queries (1-in-N) ever reach it — detached call sites (a
-/// null SpanContext) cost one pointer compare and never touch the tracer.
-/// Timestamps are steady-clock nanoseconds since the tracer's construction.
-class Tracer {
- public:
-  explicit Tracer(const TracerOptions& options = {});
-
-  bool ShouldSample(uint64_t trace_id) const {
-    return sample_every_ != 0 && trace_id % sample_every_ == 0;
-  }
-  uint64_t sample_every() const { return sample_every_; }
-
-  /// Nanoseconds since the tracer's epoch.
-  uint64_t NowNs() const;
-
-  void Emit(const Event& event);
-
-  /// Retained span events, oldest first.
-  std::vector<Event> Spans() const;
-  uint64_t total() const;
-  uint64_t dropped() const;
-
-  /// Renders the retained spans as a Chrome trace_event JSON timeline
-  /// (chrome://tracing, ui.perfetto.dev): one track per span track
-  /// (= session), spans nested by time containment. Returns false on I/O
-  /// failure.
-  bool WriteChromeTrace(const std::string& path) const;
-
- private:
-  const uint64_t sample_every_;
-  const std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  EventRing ring_;
-};
-
 /// Tracing context of one sampled trace (a query, or the enclosing
 /// session). Owned by the worker thread executing that trace and threaded
 /// through every layer via core::AccessContext::span, so span emission
-/// needs no allocation and no thread-local state: a null pointer marks the
+/// needs no allocation, no lock and no thread-local state: spans land in
+/// `sink`, a ring owned by the same thread. A null pointer marks the
 /// (overwhelmingly common) detached request.
 struct SpanContext {
-  Tracer* tracer = nullptr;
+  EventRing* sink = nullptr;
   uint64_t trace_id = 0;
   /// Renderer track (the session's logical index).
   uint32_t track = 0;
@@ -124,13 +62,15 @@ struct SpanContext {
 };
 
 /// RAII span: mints an id, re-parents the context for spans opened inside
-/// its scope, and emits one kSpan event on destruction. A null context (or
+/// its scope, and pushes one kSpan event into the context's sink on
+/// destruction (children therefore precede their parent in the ring).
+/// Timestamps are steady-clock nanoseconds. A null context or sink (or
 /// SDB_OBS=OFF) makes construction and destruction a single compare.
 class ScopedSpan {
  public:
   ScopedSpan(SpanContext* span, SpanKind kind) {
     if constexpr (kEnabled) {
-      if (span != nullptr && span->tracer != nullptr) Begin(span, kind);
+      if (span != nullptr && span->sink != nullptr) Begin(span, kind);
     }
   }
   ~ScopedSpan() {
@@ -165,6 +105,13 @@ class ScopedSpan {
   uint64_t payload_ = 0;
   bool flag_ = false;
 };
+
+/// Renders kSpan events as a Chrome trace_event JSON timeline
+/// (chrome://tracing, ui.perfetto.dev): one track per span track
+/// (= session), spans nested by time containment, timestamps rebased to
+/// the earliest span so spans gathered from several rings share one
+/// timeline. Other event kinds are skipped. Returns false on I/O failure.
+bool WriteChromeTrace(const std::string& path, std::span<const Event> spans);
 
 }  // namespace sdb::obs
 

@@ -54,14 +54,14 @@ void BufferService::Init(const storage::DiskManager& disk,
                          const BufferServiceConfig& config) {
   total_frames_ = config.total_frames;
   policy_spec_ = config.policy_spec;
-  collect_metrics_ = config.collect_metrics && obs::kEnabled;
+  const bool collect_metrics = config.collect_metrics && obs::kEnabled;
   SDB_CHECK_MSG(config.shard_count > 0, "service needs at least one shard");
   SDB_CHECK_MSG(config.total_frames >= config.shard_count,
                 "fewer frames than shards: some shard would be empty");
   shards_.reserve(config.shard_count);
   for (size_t s = 0; s < config.shard_count; ++s) {
     auto shard = std::make_unique<Shard>(disk);
-    if (collect_metrics_) {
+    if (collect_metrics) {
       obs::CollectorOptions options;
       options.event_capacity = 0;  // metrics only; no per-shard event ring
       shard->collector = std::make_unique<obs::Collector>(options);
@@ -109,7 +109,6 @@ void BufferService::Init(const storage::DiskManager& disk,
   if (writable_disk_ != nullptr && config.flusher_threads > 0) {
     FlushCoordinatorOptions flusher;
     flusher.threads = std::min(config.flusher_threads, shards_.size());
-    flusher.idle_wait_us = config.flusher_idle_us;
     flusher.batch_pages = config.flusher_batch_pages;
     flusher_ = std::make_unique<FlushCoordinator>(this, flusher);
   }
@@ -269,11 +268,8 @@ core::Status BufferService::Commit(const core::AccessContext& ctx) {
   core::StatusOr<wal::Lsn> end = wal_->CommitPages(images, page_count, ctx);
   if (!end.ok()) {
     // A commit can fail transiently (shutdown race); only a sticky WAL
-    // error — durability is gone for good — trips degraded mode. All shard
-    // latches are held here, satisfying EnterDegraded's contract.
-    if (!wal_->sticky_error().ok()) {
-      EnterDegraded(DegradedState::kWalError, 0, end.status().code());
-    }
+    // error — durability is gone for good — trips degraded mode.
+    if (!wal_->sticky_error().ok()) EnterDegraded(DegradedState::kWalError);
     return end.status();
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
@@ -312,11 +308,7 @@ core::Status BufferService::Checkpoint(const core::AccessContext& ctx) {
   }
   core::StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(page_count, ctx);
   if (!end.ok()) {
-    // Every shard latch is still held (`locks` above), so EnterDegraded's
-    // collector access is covered.
-    if (!wal_->sticky_error().ok()) {
-      EnterDegraded(DegradedState::kWalError, 0, end.status().code());
-    }
+    if (!wal_->sticky_error().ok()) EnterDegraded(DegradedState::kWalError);
     return end.status();
   }
   return core::Status::Ok();
@@ -334,7 +326,7 @@ core::StatusOr<size_t> BufferService::FlushShardBatch(
     // durability, which a sticky log can never grant: flushing now would
     // just spin each candidate through EnsureDurable failures. Park the
     // dirty set — it is the only current copy of that data.
-    EnterDegraded(DegradedState::kWalError, s, wal_->sticky_error().code());
+    EnterDegraded(DegradedState::kWalError);
     return size_t{0};
   }
   const size_t usable = buffer.frame_count() - buffer.quarantined_count();
@@ -342,21 +334,17 @@ core::StatusOr<size_t> BufferService::FlushShardBatch(
   const double ratio =
       static_cast<double>(buffer.dirty_frame_count()) / usable;
   if (ratio <= writeback.low_watermark) return size_t{0};
-  obs::ScopedSpan span(ctx.span, obs::SpanKind::kFlush);
   std::vector<core::DirtyCandidate> candidates;
-  const size_t harvested =
-      buffer.HarvestFlushCandidates(max_pages, &candidates);
-  span.set_flag(harvested == max_pages);
-  if (harvested == 0) return size_t{0};
+  if (buffer.HarvestFlushCandidates(max_pages, &candidates) == 0) {
+    return size_t{0};
+  }
   core::StatusOr<size_t> flushed = buffer.FlushFrames(candidates, ctx);
-  if (flushed.ok()) span.set_payload(*flushed);
   // FlushFrames may have escalated persistent write failures to frame
   // quarantine; when that exhausts the shard's quarantine budget the write
   // path has lost the race against the device for good.
   if (buffer.quarantine_cap() > 0 &&
       buffer.quarantined_count() >= buffer.quarantine_cap()) {
-    EnterDegraded(DegradedState::kQuarantineSaturated, s,
-                  core::StatusCode::kPermanentFailure);
+    EnterDegraded(DegradedState::kQuarantineSaturated);
   }
   return flushed;
 }
@@ -458,36 +446,12 @@ storage::FaultStats BufferService::AggregateFaultStats() const {
   return total;
 }
 
-void BufferService::EnterDegraded(DegradedState why, size_t s,
-                                  core::StatusCode code) {
+void BufferService::EnterDegraded(DegradedState why) {
   uint8_t expected = static_cast<uint8_t>(DegradedState::kHealthy);
-  if (!degraded_.compare_exchange_strong(expected, static_cast<uint8_t>(why),
-                                         std::memory_order_acq_rel)) {
-    return;  // already degraded; the first trigger named the cause
+  if (degraded_.compare_exchange_strong(expected, static_cast<uint8_t>(why),
+                                        std::memory_order_acq_rel)) {
+    degraded_entries_.fetch_add(1, std::memory_order_relaxed);
   }
-  degraded_entries_.fetch_add(1, std::memory_order_relaxed);
-  obs::Collector* collector = shards_[s]->collector.get();
-  if (!collect_metrics_ || collector == nullptr) return;
-  obs::Event event;
-  event.kind = obs::EventKind::kDegraded;
-  event.frame = static_cast<uint32_t>(s);
-  event.a = static_cast<uint64_t>(why);
-  event.b = static_cast<uint64_t>(code);
-  collector->events().Push(event);
-}
-
-void BufferService::NoteFlushBackoff(size_t shard, uint64_t consecutive_errors,
-                                     uint64_t skip_rounds) {
-  if (!collect_metrics_) return;
-  Shard& s = *shards_[shard];
-  if (s.collector == nullptr) return;
-  const std::unique_lock<std::mutex> lock = LockShard(s);
-  obs::Event event;
-  event.kind = obs::EventKind::kFlushBackoff;
-  event.frame = static_cast<uint32_t>(shard);
-  event.a = consecutive_errors;
-  event.b = skip_rounds;
-  s.collector->events().Push(event);
 }
 
 size_t BufferService::shared_candidate() const {

@@ -91,8 +91,6 @@ struct BufferServiceConfig {
   /// Pages one flusher round harvests from one shard (bounds the latch
   /// hold; a capped round re-runs immediately).
   size_t flusher_batch_pages = 16;
-  /// Idle poll cadence of the flusher between commit nudges.
-  uint32_t flusher_idle_us = 200;
 };
 
 /// Counters of one shard (or the shard-summed aggregate).
@@ -240,12 +238,6 @@ class BufferService final : public core::PageSource {
     return degraded_entries_.load(std::memory_order_relaxed);
   }
 
-  /// Called by the FlushCoordinator when it backs off a persistently
-  /// failing shard: records a kFlushBackoff event in the shard's collector
-  /// (takes the shard latch; no-op without metrics).
-  void NoteFlushBackoff(size_t shard, uint64_t consecutive_errors,
-                        uint64_t skip_rounds);
-
   /// Buffered image of a resident page. Quiescent use only — the returned
   /// span is unprotected against concurrent eviction.
   std::span<const std::byte> Peek(storage::PageId page) const override;
@@ -352,10 +344,9 @@ class BufferService final : public core::PageSource {
   obs::MetricsSnapshot ShardMetrics(size_t shard) const;
 
   /// One-way transition into degraded read-only mode: first trigger wins
-  /// (CAS from kHealthy), counts degraded_entries_ and records a kDegraded
-  /// event in shard `s`'s collector. The caller must hold shard
-  /// `s`'s latch (collector access). Idempotent once degraded.
-  void EnterDegraded(DegradedState why, size_t s, core::StatusCode code);
+  /// (CAS from kHealthy) and counts degraded_entries_. Lock-free;
+  /// idempotent once degraded.
+  void EnterDegraded(DegradedState why);
 
   size_t total_frames_ = 0;
   // Write mode (both null on a read-only service). The device mutex
@@ -364,7 +355,6 @@ class BufferService final : public core::PageSource {
   wal::WalManager* wal_ = nullptr;
   mutable std::mutex device_mu_;
   std::string policy_spec_;
-  bool collect_metrics_ = false;
   bool asb_shared_ = false;
   core::AsbSharedTuning asb_tuning_;
   /// DegradedState of the write path, stored widened so the CAS in

@@ -57,7 +57,7 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::microseconds(options_.idle_wait_us),
+      cv_.wait_for(lock, std::chrono::microseconds(kFlusherIdleWaitUs),
                    [this, seen_nudges] {
                      return stop_ || nudges_ != seen_nudges;
                    });
@@ -87,23 +87,16 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
           // fallback still guards correctness, so record, back off the
           // shard if it keeps failing, and move on.
           ++consecutive_errors[s];
-          uint64_t backoff = 0;
-          if (consecutive_errors[s] > options_.max_consecutive_errors) {
+          if (consecutive_errors[s] > kMaxConsecutiveFlushErrors) {
             const uint64_t over =
-                consecutive_errors[s] - options_.max_consecutive_errors;
-            backoff = over >= 63 ? options_.max_backoff_rounds
-                                 : std::min<uint64_t>(
-                                       uint64_t{1} << over,
-                                       options_.max_backoff_rounds);
-            skip_rounds[s] = backoff;
+                consecutive_errors[s] - kMaxConsecutiveFlushErrors;
+            skip_rounds[s] =
+                over >= 63 ? kMaxFlushBackoffRounds
+                           : std::min<uint64_t>(uint64_t{1} << over,
+                                                kMaxFlushBackoffRounds);
           }
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.flush_errors;
-          }
-          if (backoff > 0) {
-            service_->NoteFlushBackoff(s, consecutive_errors[s], backoff);
-          }
+          std::lock_guard<std::mutex> lock(mu_);
+          ++stats_.flush_errors;
           continue;
         }
         consecutive_errors[s] = 0;

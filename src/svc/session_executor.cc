@@ -64,6 +64,7 @@ void SessionExecutor::Submit(const workload::QuerySet& session) {
   }
   const size_t index = submitted_++;
   results_.emplace_back();
+  spans_.emplace_back();
   queue_.push_back(Pending{index, session});
   max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   lock.unlock();
@@ -96,6 +97,20 @@ SessionExecutorStats SessionExecutor::stats() const {
 PinLatencyHistogram SessionExecutor::pin_latency() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return pin_latency_;
+}
+
+std::vector<obs::Event> SessionExecutor::Spans() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::vector<obs::Event> spans;
+  for (const std::vector<obs::Event>& session : spans_) {
+    spans.insert(spans.end(), session.begin(), session.end());
+  }
+  return spans;
+}
+
+uint64_t SessionExecutor::spans_dropped() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return spans_dropped_;
 }
 
 void SessionExecutor::WorkerLoop() {
@@ -132,40 +147,47 @@ SessionResult SessionExecutor::RunSession(size_t index,
   const uint64_t logical =
       static_cast<uint64_t>(index) + config_.session_index_offset;
   uint64_t query_id = logical * config_.query_id_stride;
-  // The session span is its own trace (trace id = the query-id base, which
-  // no query uses — ids start at base + 1) on the session's track; sampled
-  // queries land on the same track, so the viewer nests them by time.
-  obs::SpanContext session_span;
-  if (config_.tracer != nullptr) {
-    session_span.tracer = config_.tracer;
-    session_span.trace_id = query_id;
-    session_span.track = static_cast<uint32_t>(logical);
-  }
-  obs::ScopedSpan session_scope(
-      config_.tracer != nullptr ? &session_span : nullptr,
-      obs::SpanKind::kSession);
-  session_scope.set_payload(session.queries.size());
-  for (const geom::Rect& window : session.queries) {
-    core::AccessContext ctx{++query_id};
-    // Deterministic sampling decision (pure function of the query id), one
-    // fresh per-query context so span ids restart at 1 in every trace.
-    obs::SpanContext query_span;
-    if (config_.tracer != nullptr && config_.tracer->ShouldSample(query_id)) {
-      query_span.tracer = config_.tracer;
-      query_span.trace_id = query_id;
-      query_span.track = static_cast<uint32_t>(logical);
-      ctx.span = &query_span;
+  // This worker owns the session's span ring for the whole session; it is
+  // handed to the executor once the session span has closed.
+  const uint64_t sample_every = config_.trace_sample_every;
+  obs::EventRing spans(sample_every != 0 ? kSessionSpanCapacity : 0);
+  {
+    // The session span is its own trace (trace id = the query-id base,
+    // which no query uses — ids start at base + 1) on the session's track;
+    // sampled queries land on the same track, so the viewer nests them by
+    // time.
+    obs::SpanContext session_span;
+    if (sample_every != 0) {
+      session_span.sink = &spans;
+      session_span.trace_id = query_id;
+      session_span.track = static_cast<uint32_t>(logical);
     }
-    obs::ScopedSpan query_scope(ctx.span, obs::SpanKind::kQuery);
-    tree.WindowQueryVisit(window, ctx, [&result](const rtree::Entry&) {
-      ++result.result_objects;
-    });
+    obs::ScopedSpan session_scope(&session_span, obs::SpanKind::kSession);
+    session_scope.set_payload(session.queries.size());
+    for (const geom::Rect& window : session.queries) {
+      core::AccessContext ctx{++query_id};
+      // One fresh per-query context so span ids restart at 1 in every
+      // trace.
+      obs::SpanContext query_span;
+      if (sample_every != 0 && query_id % sample_every == 0) {
+        query_span.sink = &spans;
+        query_span.trace_id = query_id;
+        query_span.track = static_cast<uint32_t>(logical);
+        ctx.span = &query_span;
+      }
+      obs::ScopedSpan query_scope(ctx.span, obs::SpanKind::kQuery);
+      tree.WindowQueryVisit(window, ctx, [&result](const rtree::Entry&) {
+        ++result.result_objects;
+      });
+    }
   }
   result.page_accesses = counting.fetches();
   result.io_errors = counting.io_errors();
-  if (config_.record_pin_latency) {
+  if (config_.record_pin_latency || sample_every != 0) {
     const std::lock_guard<std::mutex> lock(mu_);
     pin_latency_.MergeFrom(counting.pin_latency());
+    spans_[index] = spans.Snapshot();
+    spans_dropped_ += spans.dropped();
   }
   return result;
 }

@@ -111,6 +111,10 @@ class CountingSource final : public core::PageSource {
   PinLatencyHistogram pin_latency_;
 };
 
+/// Span-ring capacity of one traced session (EventRing semantics: keep the
+/// newest, count the rest in SessionExecutor::spans_dropped()).
+inline constexpr size_t kSessionSpanCapacity = size_t{1} << 16;
+
 /// Construction knobs of a SessionExecutor.
 struct SessionExecutorConfig {
   size_t workers = 4;
@@ -125,12 +129,15 @@ struct SessionExecutorConfig {
   /// histogram returned by pin_latency(). Off by default: the two clock
   /// reads per fetch are measurable on the latch-free hit path.
   bool record_pin_latency = false;
-  /// Span-trace sink. Null (the default) leaves every access detached —
-  /// no ids minted, no clock reads, one pointer compare per site. With a
-  /// tracer, each session emits one kSession span, and every query whose
-  /// id the tracer samples runs under a kQuery span whose context rides
-  /// core::AccessContext::span into the service and device layers.
-  obs::Tracer* tracer = nullptr;
+  /// Span tracing. 0 (the default) leaves every access detached — no ids
+  /// minted, no clock reads, one pointer compare per site. N > 0 gives each
+  /// session one kSession span and traces every query whose id is a
+  /// multiple of N (a pure function of the id, not of scheduling) under a
+  /// kQuery span whose context rides core::AccessContext::span into the
+  /// service layer. A session's spans land in a ring of
+  /// kSessionSpanCapacity events owned by the worker running it; Spans()
+  /// returns them after Finish().
+  uint64_t trace_sample_every = 0;
   /// Added to the submission index when deriving the session's logical
   /// index (query-id base = logical * query_id_stride, trace track =
   /// logical). Lets a bench run two executor phases over one service
@@ -203,6 +210,14 @@ class SessionExecutor {
   /// obs::HistogramQuantile over kPinLatencyBoundsNs.
   PinLatencyHistogram pin_latency() const;
 
+  /// Span events of every finished session, in submission order; within a
+  /// session, in the order the spans closed (children before parents).
+  /// Empty unless config().trace_sample_every.
+  std::vector<obs::Event> Spans() const;
+  /// Spans that fell off the front of a full session ring, summed over
+  /// sessions.
+  uint64_t spans_dropped() const;
+
  private:
   struct Pending {
     size_t index = 0;
@@ -228,6 +243,9 @@ class SessionExecutor {
   // One slot per submitted session, filled by whichever worker ran it;
   // deque so slot references stay stable while Submit grows the container.
   std::deque<SessionResult> results_;
+  // Per-session span streams, slotted like results_.
+  std::deque<std::vector<obs::Event>> spans_;
+  uint64_t spans_dropped_ = 0;
   PinLatencyHistogram pin_latency_;
   std::vector<std::thread> workers_;
   bool finished_ = false;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "obs/trace.h"
 
 namespace sdb::wal {
 
@@ -80,11 +79,9 @@ core::Status Replay(std::span<const ReplayImage> images,
 
 core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
                                        storage::PageDevice& data,
-                                       const core::AccessContext& ctx,
+                                       const core::AccessContext& /*ctx*/,
                                        obs::Collector* collector,
                                        const RecoveryOptions& options) {
-  obs::ScopedSpan span(ctx.span, obs::SpanKind::kRecovery);
-
   const size_t page_size = log.page_size();
   const size_t log_pages = log.page_count();
   std::vector<std::byte> stream(log_pages * page_size);
@@ -173,9 +170,6 @@ core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
         .GetCounter("wal.recovery_replayed")
         ->Add(result.replayed_pages);
   }
-
-  span.set_payload(result.replayed_pages);
-  span.set_flag(result.torn_tail);
   return result;
 }
 

@@ -57,7 +57,8 @@ struct RecoveryResult {
 /// `log` is read page-by-page (counting toward its stats); pages missing
 /// from `data` are allocated before being replayed. A checkpoint record
 /// with a payload is a shape this log format does not write; the call then
-/// fails with kUnimplemented before touching `data`.
+/// fails with kUnimplemented before touching `data`. `ctx` is not read;
+/// it keeps the positional (log, data, ctx, collector, options) shape.
 core::StatusOr<RecoveryResult> Recover(storage::PageDevice& log,
                                        storage::PageDevice& data,
                                        const core::AccessContext& ctx = {},

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/macros.h"
-#include "obs/trace.h"
 
 namespace sdb::wal {
 
@@ -223,11 +222,7 @@ void WalManager::WriterLoop() {
 
 core::StatusOr<Lsn> WalManager::CommitPages(
     std::span<const PageImageRef> images, uint64_t data_page_count,
-    const core::AccessContext& ctx, bool forced_steal) {
-  obs::ScopedSpan span(ctx.span, obs::SpanKind::kWalAppend);
-  span.set_payload(images.size());
-  span.set_flag(forced_steal);
-
+    const core::AccessContext& /*ctx*/, bool forced_steal) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!sticky_error_.ok()) return sticky_error_;
   if (options_.group_commit) {
@@ -284,8 +279,7 @@ core::StatusOr<Lsn> WalManager::CommitPages(
 }
 
 core::StatusOr<Lsn> WalManager::AppendCheckpoint(
-    uint64_t data_page_count, const core::AccessContext& ctx) {
-  obs::ScopedSpan span(ctx.span, obs::SpanKind::kCheckpoint);
+    uint64_t data_page_count, const core::AccessContext& /*ctx*/) {
   Lsn end = kNullLsn;
   {
     std::lock_guard<std::mutex> lock(mu_);

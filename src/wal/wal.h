@@ -106,6 +106,7 @@ class WalManager {
   /// batched flush). `data_page_count` is stamped into the commit record so
   /// recovery can bound byte-exactness to committed pages. Returns the LSN
   /// just past the commit record — the caller's new durable horizon.
+  /// `ctx` (here and in AppendCheckpoint) is not read.
   core::StatusOr<Lsn> CommitPages(std::span<const PageImageRef> images,
                                   uint64_t data_page_count,
                                   const core::AccessContext& ctx,

@@ -214,23 +214,32 @@ TEST_F(ObsEventsTest, EventStreamSatisfiesTheThreeCaseRule) {
   EXPECT_TRUE(saw_decrease || saw_increase)
       << "at least one adaptation must actually move the candidate set";
 
-  // The registry's counters must agree with the event stream.
-  const obs::MetricsSnapshot snapshot = collector_->metrics().Snapshot();
-  for (const obs::MetricValue& value : snapshot) {
+  // The buffer's metrics snapshot must agree with the event stream.
+  const auto adapts_with_delta = [&adapts](int sign) {
+    return static_cast<uint64_t>(
+        std::count_if(adapts.begin(), adapts.end(),
+                      [sign](const obs::Event& e) { return e.delta == sign; }));
+  };
+  size_t asb_series = 0;
+  for (const obs::MetricValue& value : buffer_->MetricsSnapshot()) {
     if (value.name == "asb.overflow_hits") {
+      ++asb_series;
       EXPECT_EQ(value.count, adapts.size());
     }
     if (value.name == "asb.candidate") {
+      ++asb_series;
       EXPECT_DOUBLE_EQ(value.value, static_cast<double>(candidate));
     }
     if (value.name == "asb.candidate_decreases") {
-      EXPECT_EQ(value.count, static_cast<uint64_t>(std::count_if(
-                                 adapts.begin(), adapts.end(),
-                                 [](const obs::Event& e) {
-                                   return e.delta < 0;
-                                 })));
+      ++asb_series;
+      EXPECT_EQ(value.count, adapts_with_delta(-1));
+    }
+    if (value.name == "asb.candidate_increases") {
+      ++asb_series;
+      EXPECT_EQ(value.count, adapts_with_delta(1));
     }
   }
+  EXPECT_EQ(asb_series, 4u) << "every asb.* series is in the snapshot";
 }
 
 }  // namespace

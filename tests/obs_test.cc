@@ -451,29 +451,12 @@ TEST(ExportTest, ChromeTraceNanosecondEventsKeepSubMicrosecondDetail) {
 }
 
 // ---------------------------------------------------------------------------
-// Span tracing: packing, sampling, nesting, rendering.
-
-TEST(TracerTest, ShouldSampleSelectsEveryNthTraceDeterministically) {
-  TracerOptions every4;
-  every4.sample_every = 4;
-  const Tracer tracer(every4);
-  EXPECT_TRUE(tracer.ShouldSample(0));
-  EXPECT_FALSE(tracer.ShouldSample(1));
-  EXPECT_FALSE(tracer.ShouldSample(3));
-  EXPECT_TRUE(tracer.ShouldSample(4));
-  EXPECT_TRUE(tracer.ShouldSample(8));
-
-  TracerOptions off;
-  off.sample_every = 0;
-  const Tracer disabled(off);
-  EXPECT_FALSE(disabled.ShouldSample(0));
-  EXPECT_FALSE(disabled.ShouldSample(64));
-}
+// Span tracing: packing, nesting, rendering.
 
 TEST(TracerTest, NestedScopedSpansPackIdsParentsAndTrack) {
-  Tracer tracer;
+  EventRing ring;
   SpanContext ctx;
-  ctx.tracer = &tracer;
+  ctx.sink = &ring;
   ctx.trace_id = 42;
   ctx.track = 7;
   {
@@ -489,7 +472,7 @@ TEST(TracerTest, NestedScopedSpansPackIdsParentsAndTrack) {
   }
   EXPECT_EQ(ctx.parent, 0) << "closing the root restores root level";
 
-  const std::vector<Event> spans = tracer.Spans();
+  const std::vector<Event> spans = ring.Snapshot();
   ASSERT_EQ(spans.size(), 2u) << "children close (and emit) first";
   const Event& fetch = spans[0];
   const Event& query = spans[1];
@@ -516,26 +499,26 @@ TEST(TracerTest, DetachedSpanIsInert) {
   detached.set_payload(2);
   detached.set_flag(true);  // all no-ops, must not crash
 
-  SpanContext no_tracer;  // default: tracer == nullptr
-  ScopedSpan unarmed(&no_tracer, SpanKind::kShardFetch);
+  SpanContext no_sink;  // default: sink == nullptr
+  ScopedSpan unarmed(&no_sink, SpanKind::kShardFetch);
   EXPECT_FALSE(unarmed.armed());
-  EXPECT_EQ(no_tracer.next_id, 1) << "no id minted without a tracer";
+  EXPECT_EQ(no_sink.next_id, 1) << "no id minted without a sink";
 }
 
 TEST(TracerTest, WriteChromeTraceRendersTracksAndSpanNames) {
-  Tracer tracer;
+  EventRing ring;
   SpanContext ctx;
-  ctx.tracer = &tracer;
+  ctx.sink = &ring;
   ctx.trace_id = 43;
   ctx.track = 5;
   {
     ScopedSpan query(&ctx, SpanKind::kQuery);
     ScopedSpan fetch(&ctx, SpanKind::kShardFetch);
   }
-  EXPECT_EQ(tracer.total(), 2u);
-  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(ring.total(), 2u);
+  EXPECT_EQ(ring.dropped(), 0u);
   const std::string path = ::testing::TempDir() + "/obs_span_trace.json";
-  ASSERT_TRUE(tracer.WriteChromeTrace(path));
+  ASSERT_TRUE(WriteChromeTrace(path, ring.Snapshot()));
   std::ifstream in(path);
   std::stringstream content;
   content << in.rdbuf();
@@ -544,6 +527,8 @@ TEST(TracerTest, WriteChromeTraceRendersTracksAndSpanNames) {
       << "one named track per session: " << json;
   EXPECT_NE(json.find("query #43.1"), std::string::npos) << json;
   EXPECT_NE(json.find("shard_fetch #43.2"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":0.000"), std::string::npos)
+      << "timestamps rebase to the earliest span: " << json;
 }
 
 // ---------------------------------------------------------------------------
