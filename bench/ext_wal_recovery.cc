@@ -92,11 +92,10 @@ CommitCell RunCommitCell(uint32_t window_us, size_t threads,
     workers.emplace_back([&wal, t, threads, commits_per_thread] {
       std::vector<std::byte> image(wal.device().page_size(),
                                    std::byte{static_cast<uint8_t>(t)});
-      const core::AccessContext ctx{t + 1};
       for (size_t i = 0; i < commits_per_thread; ++i) {
         const wal::PageImageRef ref{static_cast<storage::PageId>(t), image};
         const core::StatusOr<wal::Lsn> end =
-            wal.CommitPages({&ref, 1}, threads, ctx);
+            wal.CommitPages({&ref, 1}, threads);
         SDB_CHECK_MSG(end.ok(), "bench commit failed");
       }
     });

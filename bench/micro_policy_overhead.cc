@@ -427,41 +427,62 @@ double MeasureHitFetchNs(size_t frames, bool attach_collector) {
 /// Collector-attachment A/B on the buffer-hit path (see MeasureHitFetchNs).
 /// Appended to BENCH_policy_overhead.json as bench:"obs_overhead"; CI's
 /// obs-guard job asserts overhead_frac against its threshold via
-/// check_bench_regression.py.
+/// check_bench_regression.py. Each side is the median of kRepeats runs; the
+/// JSON row carries the min and max beside it.
 void RunObsOverheadTable() {
   const std::vector<size_t> frame_counts = {256, 1024};
+  // Repeats per side, alternating detached and attached so host drift hits
+  // both alike: the attached delta is a few ns of counter increments on a
+  // ~30 ns path, easily drowned by scheduler noise in any single run.
+  constexpr int kRepeats = 7;
   const std::string json_path = "BENCH_policy_overhead.json";
   bool json_ok = true;
-  sim::Table table({"frames", "ns/fetch (detached)", "ns/fetch (attached)",
-                    "overhead"});
+  sim::Table table({"frames", "ns/fetch (detached)", "min-max",
+                    "ns/fetch (attached)", "min-max (attached)", "overhead"});
   for (const size_t frames : frame_counts) {
-    // Best-of-3 per side: the attached delta is a few ns of counter
-    // increments, easily drowned by scheduler noise otherwise.
-    double detached_ns = 0.0, attached_ns = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const double d = MeasureHitFetchNs(frames, /*attach_collector=*/false);
-      const double a = MeasureHitFetchNs(frames, /*attach_collector=*/true);
-      if (rep == 0 || d < detached_ns) detached_ns = d;
-      if (rep == 0 || a < attached_ns) attached_ns = a;
+    std::vector<double> detached_ns, attached_ns;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      detached_ns.push_back(
+          MeasureHitFetchNs(frames, /*attach_collector=*/false));
+      attached_ns.push_back(
+          MeasureHitFetchNs(frames, /*attach_collector=*/true));
     }
+    std::sort(detached_ns.begin(), detached_ns.end());
+    std::sort(attached_ns.begin(), attached_ns.end());
+    const double detached = detached_ns[kRepeats / 2];
+    const double attached = attached_ns[kRepeats / 2];
     const double overhead =
-        detached_ns > 0.0 ? (attached_ns - detached_ns) / detached_ns : 0.0;
-    table.AddRow({std::to_string(frames), sim::FormatDouble(detached_ns, 1),
-                  sim::FormatDouble(attached_ns, 1),
+        detached > 0.0 ? (attached - detached) / detached : 0.0;
+    const auto range = [](const std::vector<double>& ns) {
+      return sim::FormatDouble(ns.front(), 1) + "-" +
+             sim::FormatDouble(ns.back(), 1);
+    };
+    table.AddRow({std::to_string(frames), sim::FormatDouble(detached, 1),
+                  range(detached_ns), sim::FormatDouble(attached, 1),
+                  range(attached_ns),
                   sim::FormatDouble(100.0 * overhead, 2) + "%"});
-    char line[384];
+    char line[512];
     std::snprintf(line, sizeof(line),
                   "{\"schema_version\":%d,\"bench\":\"obs_overhead\","
                   "\"policy\":\"LRU\",\"frames\":%zu,"
                   "\"ns_per_fetch_detached\":%.1f,"
-                  "\"ns_per_fetch_attached\":%.1f,\"overhead_frac\":%.4f}",
-                  obs::kBenchJsonSchemaVersion, frames, detached_ns,
-                  attached_ns, overhead);
+                  "\"ns_per_fetch_attached\":%.1f,\"overhead_frac\":%.4f,"
+                  "\"repeats\":%d,"
+                  "\"ns_per_fetch_detached_min\":%.1f,"
+                  "\"ns_per_fetch_detached_max\":%.1f,"
+                  "\"ns_per_fetch_attached_min\":%.1f,"
+                  "\"ns_per_fetch_attached_max\":%.1f}",
+                  obs::kBenchJsonSchemaVersion, frames, detached, attached,
+                  overhead, kRepeats, detached_ns.front(), detached_ns.back(),
+                  attached_ns.front(), attached_ns.back());
     json_ok = sim::AppendJsonLine(json_path, line) && json_ok;
   }
-  table.Print(
-      "observability cost on the buffer-hit path, no collector vs "
-      "metrics-only collector (LRU, all hits)");
+  char title[160];
+  std::snprintf(title, sizeof(title),
+                "observability cost on the buffer-hit path, no collector vs "
+                "metrics-only collector (LRU, all hits), median of %d",
+                kRepeats);
+  table.Print(title);
   if (!json_ok) {
     std::fprintf(stderr, "warning: could not write %s\n", json_path.c_str());
   }

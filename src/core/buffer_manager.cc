@@ -21,11 +21,13 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Concurrent-mode bound on victimless policy scans before AcquireFrame
+/// Bound on victimless policy scans of a latched buffer before AcquireFrame
 /// concludes the pool is genuinely exhausted (each scan drains the deferred
 /// ring and yields, so lagging unpin events get every chance to land).
 constexpr size_t kVictimScanLimit = 1u << 16;
 }  // namespace
+
+static_assert(ConcurrentPageTable::kInvalidFrame == kInvalidFrameId);
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   if (this != &other) {
@@ -87,7 +89,9 @@ BufferManager::BufferManager(storage::PageDevice* disk, size_t frames,
     : disk_(disk),
       policy_(std::move(policy)),
       page_size_(disk->page_size()),
-      resilience_(resilience) {
+      resilience_(resilience),
+      sync_(std::make_unique<FrameSync[]>(frames)),
+      table_(frames) {
   SDB_CHECK(disk_ != nullptr);
   SDB_CHECK(policy_ != nullptr);
   SDB_CHECK_MSG(frames > 0, "buffer needs at least one frame");
@@ -113,7 +117,7 @@ BufferManager::~BufferManager() { FlushAll(); }
 
 StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
                                           const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
+  DrainDeferred();
   // Fast-fail on a page that already failed terminally: no device traffic,
   // no frame churn, the caller gets the same terminal code every time.
   if (!bad_pages_.empty()) {
@@ -122,10 +126,9 @@ StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
     }
   }
   ++stats_.requests;
-  if (auto it = page_table_.find(page); it != page_table_.end()) {
+  if (const FrameId f = table_.Lookup(page); f != kInvalidFrameId) {
     ++stats_.hits;
-    const FrameId f = it->second;
-    if (PinIncrement(f) == 0) {
+    if (sync_[f].pins.fetch_add(1, std::memory_order_acq_rel) == 0) {
       policy_->SetEvictable(f, false);
     }
     policy_->OnPageAccessed(f, ctx);
@@ -143,16 +146,16 @@ StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
   if (!acquired.ok()) return acquired.status();
   const FrameId f = *acquired;
   if (Status read = ReadPageWithRecovery(f, page); !read.ok()) {
-    if (concurrent_) sync_[f].Unlock();
+    sync_[f].Unlock();
     return read;
   }
   InstallLoadedPage(f, page, ctx, /*dirty=*/false);
-  if (concurrent_) sync_[f].Unlock();
+  sync_[f].Unlock();
   return PageHandle(this, f, page);
 }
 
 StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
+  DrainDeferred();
   ++stats_.requests;
   ++stats_.misses;  // a new page is never a hit
   StatusOr<FrameId> acquired = AcquireFrame(ctx, storage::kInvalidPageId);
@@ -164,7 +167,7 @@ StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
     // status — the caller's New fails, the pool (and its resident pages)
     // stays intact and keeps serving reads.
     free_frames_.push_back(f);
-    if (concurrent_) sync_[f].Unlock();
+    sync_[f].Unlock();
     return allocated.status();
   }
   const storage::PageId page = *allocated;
@@ -174,14 +177,14 @@ StatusOr<PageHandle> BufferManager::New(const AccessContext& ctx) {
   std::memset(FrameData(f), 0, page_size_);
   InstallLoadedPage(f, page, ctx,
                     /*dirty=*/true);  // must reach disk even if never modified
-  if (concurrent_) sync_[f].Unlock();
+  sync_[f].Unlock();
   return PageHandle(this, f, page);
 }
 
 StatusOr<PageHandle> BufferManager::NewAt(storage::PageId page,
                                           const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
-  SDB_CHECK_MSG(!page_table_.contains(page), "NewAt of a resident page");
+  DrainDeferred();
+  SDB_CHECK_MSG(!Contains(page), "NewAt of a resident page");
   ++stats_.requests;
   ++stats_.misses;
   StatusOr<FrameId> acquired = AcquireFrame(ctx, page);
@@ -192,7 +195,7 @@ StatusOr<PageHandle> BufferManager::NewAt(storage::PageId page,
   const FrameId f = *acquired;
   std::memset(FrameData(f), 0, page_size_);
   InstallLoadedPage(f, page, ctx, /*dirty=*/true);
-  if (concurrent_) sync_[f].Unlock();
+  sync_[f].Unlock();
   return PageHandle(this, f, page);
 }
 
@@ -206,27 +209,24 @@ void BufferManager::InstallLoadedPage(FrameId f, storage::PageId page,
   frame.page_lsn = 0;
   frame.rec_lsn =
       (dirty && wal_ != nullptr) ? wal_->next_lsn() + 1 : 0;
-  if (concurrent_) {
-    sync_[f].page.store(page, std::memory_order_release);
-    concurrent_table_->Insert(page, f);
-  }
+  sync_[f].page.store(page, std::memory_order_release);
+  table_.Insert(page, f);
   // fetch_add, not a store: a doomed optimistic pin (one that will fail its
   // validation and undo itself) may be in flight on this frame, and a plain
   // store would erase its +1 before the matching -1 lands.
-  PinIncrement(f);
-  page_table_.emplace(page, f);
+  sync_[f].pins.fetch_add(1, std::memory_order_acq_rel);
   FillMeta(f);
   policy_->OnPageLoaded(f, page, ctx);
 }
 
 bool BufferManager::Contains(storage::PageId page) const {
-  return page_table_.contains(page);
+  return table_.Lookup(page) != kInvalidFrameId;
 }
 
 std::span<const std::byte> BufferManager::Peek(storage::PageId page) const {
-  const auto it = page_table_.find(page);
-  if (it == page_table_.end()) return {};
-  return {FrameData(it->second), page_size_};
+  const FrameId f = table_.Lookup(page);
+  if (f == kInvalidFrameId) return {};
+  return {FrameData(f), page_size_};
 }
 
 void BufferManager::FlushAll() {
@@ -247,7 +247,7 @@ void BufferManager::FlushAll() {
       // Best-effort: a frame whose device refuses the write stays dirty and
       // is dropped with the pool. Its committed image lives in the log and
       // recovery replays it; quarantine bookkeeping already counted it.
-      (void)WriteBackLocked(f, AccessContext{});
+      (void)WriteBackLocked(f);
     }
   }
 }
@@ -288,15 +288,17 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
   if (!free_frames_.empty()) {
     const FrameId f = free_frames_.back();
     free_frames_.pop_back();
-    // A free frame is invisible to optimistic readers (never in the
-    // concurrent table), but locking it anyway gives the caller one uniform
+    // A free frame is invisible to optimistic readers (never in the page
+    // table), but locking it anyway gives the caller one uniform
     // unlock-publishes-the-bytes protocol.
-    if (concurrent_) sync_[f].Lock();
+    sync_[f].Lock();
     return f;
   }
-  // Bound on no-victim retries in concurrent mode: deferred unpin events
+  // Bound on no-victim retries of a latched buffer: deferred unpin events
   // can lag the atomic pin counts, so a transiently victimless policy view
-  // is drained and re-scanned before the seed's all-pinned abort fires.
+  // is drained and re-scanned before the seed's all-pinned abort fires. A
+  // private buffer applies every event inline, so its first victimless
+  // scan is final.
   size_t starved_scans = 0;
   // Clean-victim preference: with background write-back enabled and the
   // pool at or below the high watermark, dirty victims are set aside
@@ -323,7 +325,7 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         prefer_clean = false;
         continue;
       }
-      if (concurrent_ && ++starved_scans < kVictimScanLimit) {
+      if (latch_ != nullptr && ++starved_scans < kVictimScanLimit) {
         DrainDeferred();
         if (starved_scans > 1) {
           // Draining alone did not produce a victim, so heal event-less
@@ -352,24 +354,23 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
     }
     const FrameId f = *victim;
     Frame& frame = frames_[f];
-    if (concurrent_) {
-      sync_[f].Lock();
-      if (sync_[f].pins.load(std::memory_order_acquire) != 0) {
-        // The policy's evictable flag lagged a live optimistic pin (its
-        // deferred event is still in flight). Correct the flag, release the
-        // frame and rescan — the pin count is the authority.
-        sync_[f].Unlock();
-        policy_->SetEvictable(f, false);
-        version_conflicts_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    } else {
-      SDB_CHECK_MSG(frame.pin_count == 0, "policy evicted a pinned page");
+    sync_[f].Lock();
+    if (PinCount(f) != 0) {
+      // Without a latch nothing pins behind the policy's back: the policy
+      // broke its evictable-flag contract.
+      SDB_CHECK_MSG(latch_ != nullptr, "policy evicted a pinned page");
+      // The policy's evictable flag lagged a live optimistic pin (its
+      // deferred event is still in flight). Correct the flag, release the
+      // frame and rescan — the pin count is the authority.
+      sync_[f].Unlock();
+      policy_->SetEvictable(f, false);
+      version_conflicts_.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
     SDB_CHECK(frame.page != storage::kInvalidPageId);
     if (prefer_clean && frame.dirty &&
         dirty_skipped.size() < kMaxCleanScan) {
-      if (concurrent_) sync_[f].Unlock();
+      sync_[f].Unlock();
       policy_->SetEvictable(f, false);
       dirty_skipped.push_back(f);
       continue;
@@ -382,10 +383,10 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         // watermark bench gates on.
         ++stats_.sync_writeback_fallbacks;
       }
-      if (Status written = WriteBackLocked(f, ctx); !written.ok()) {
+      if (Status written = WriteBackLocked(f); !written.ok()) {
         // The victim keeps its bytes and residency; the fetch that wanted
         // the frame fails instead of evicting a page the device refused.
-        if (concurrent_) sync_[f].Unlock();
+        sync_[f].Unlock();
         restore_skipped();
         return written;
       }
@@ -402,16 +403,13 @@ StatusOr<FrameId> BufferManager::AcquireFrame(const AccessContext& ctx,
         obs_->events().Push(event);
       }
     }
-    page_table_.erase(frame.page);
-    if (concurrent_) {
-      concurrent_table_->Erase(frame.page);
-      sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
-    }
+    table_.Erase(frame.page);
+    sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
     policy_->OnPageEvicted(f, frame.page);
     frame.page = storage::kInvalidPageId;
     restore_skipped();
-    // In concurrent mode the frame stays version-locked: the caller fills
-    // the bytes and unlocks, which is what publishes them to readers.
+    // The frame stays version-locked: the caller fills the bytes and
+    // unlocks, which is what publishes them to readers.
     return f;
   }
 }
@@ -478,11 +476,8 @@ void BufferManager::QuarantineWriteFailure(FrameId f) {
   // (which replays the WAL onto the device region that works, or a
   // replacement) is the only way the page comes back.
   bad_pages_.emplace(page, StatusCode::kPermanentFailure);
-  page_table_.erase(page);
-  if (concurrent_) {
-    concurrent_table_->Erase(page);
-    sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
-  }
+  table_.Erase(page);
+  sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
   policy_->OnPageEvicted(f, page);
   SDB_DCHECK(dirty_frames_ > 0);
   --dirty_frames_;
@@ -552,11 +547,11 @@ obs::MetricsSnapshot BufferManager::MetricsSnapshot() const {
 
 UnpinStatus BufferManager::Unpin(FrameId f, bool dirty) {
   if (latch_ == nullptr) {
-    if (concurrent_) DrainDeferred();
+    DrainDeferred();
     return UnpinLocked(f, dirty);
   }
   std::lock_guard<std::mutex> lock(*latch_);
-  if (concurrent_) DrainDeferred();
+  DrainDeferred();
   return UnpinLocked(f, dirty);
 }
 
@@ -571,33 +566,28 @@ UnpinStatus BufferManager::UnpinLocked(FrameId f, bool dirty) {
     NoteDirtyLocked(f);
     InvalidateMeta(f);
   }
-  if (PinDecrement(f) == 1) {
+  if (sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     policy_->SetEvictable(f, true);
   }
   return UnpinStatus::kOk;
 }
 
 void BufferManager::ReleasePin(FrameId f) {
-  if (!concurrent_) {
-    const UnpinStatus status = Unpin(f, /*dirty=*/false);
-    SDB_CHECK_MSG(status == UnpinStatus::kOk,
-                  "handle released a frame it no longer pins");
-    return;
-  }
   // Latch-free release: the handle owns a pin by construction, so the
   // decrement cannot fail, and holding that pin until here means the
   // frame's page cannot have changed since the fetch.
   const storage::PageId page = sync_[f].page.load(std::memory_order_acquire);
   const uint32_t prev = sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel);
-  SDB_DCHECK(prev > 0);
+  SDB_CHECK_MSG(prev > 0, "handle released a frame it no longer pins");
   DeferredEvent event;
   event.frame = f;
   event.page = page;
   event.kind = DeferredEvent::Kind::kUnpin;
   event.edge = prev == 1;
-  if (deferred_->TryPush(event)) return;
-  // Ring full: apply under the latch, draining the backlog first so the
-  // event order the policy sees stays FIFO.
+  if (latch_ != nullptr && deferred_.TryPush(event)) return;
+  // No latch (a private buffer stays eager) or ring full: apply now, under
+  // the latch if any, draining the backlog first so the event order the
+  // policy sees stays FIFO.
   const auto apply = [&] {
     DrainDeferred();
     ApplyDeferred(event);
@@ -638,8 +628,7 @@ void BufferManager::NoteDirtyLocked(FrameId f) {
   }
 }
 
-Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
-                                      bool* device_write_failed) {
+Status BufferManager::WriteBackLocked(FrameId f, bool* device_write_failed) {
   Frame& frame = frames_[f];
   if (!frame.dirty) return Status::Ok();
   if (wal_ != nullptr) {
@@ -650,7 +639,7 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
       // is the documented no-rollback caveat of the redo-only design.
       const wal::PageImageRef image{frame.page, {FrameData(f), page_size_}};
       StatusOr<wal::Lsn> end = wal_->CommitPages(
-          {&image, 1}, disk_->page_count(), ctx, /*forced_steal=*/true);
+          {&image, 1}, disk_->page_count(), /*forced_steal=*/true);
       if (!end.ok()) return end.status();
       frame.page_lsn = *end;
       frame.wal_logged = true;
@@ -683,16 +672,15 @@ Status BufferManager::WriteBackLocked(FrameId f, const AccessContext& ctx,
   return Status::Ok();
 }
 
-Status BufferManager::Commit(const AccessContext& ctx) {
+Status BufferManager::Commit(const AccessContext& /*ctx*/) {
   if (wal_ == nullptr) {
     return Status::Unimplemented("no write-ahead log attached");
   }
-  if (concurrent_) DrainDeferred();
+  DrainDeferred();
   std::vector<wal::PageImageRef> images;
   std::vector<FrameId> dirty;
   CollectDirtyPages(&images, &dirty);
-  StatusOr<wal::Lsn> end =
-      wal_->CommitPages(images, disk_->page_count(), ctx);
+  StatusOr<wal::Lsn> end = wal_->CommitPages(images, disk_->page_count());
   if (!end.ok()) return end.status();
   MarkFramesCommitted(dirty, *end);
   return Status::Ok();
@@ -704,16 +692,16 @@ Status BufferManager::Checkpoint(const AccessContext& ctx) {
   }
   if (Status committed = Commit(ctx); !committed.ok()) return committed;
   if (Status forced = ForceDirty(ctx); !forced.ok()) return forced;
-  StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(disk_->page_count(), ctx);
+  StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(disk_->page_count());
   return end.ok() ? Status::Ok() : end.status();
 }
 
-Status BufferManager::ForceDirty(const AccessContext& ctx) {
+Status BufferManager::ForceDirty(const AccessContext& /*ctx*/) {
   for (FrameId f = 0; f < frames_.size(); ++f) {
     if (frames_[f].page == storage::kInvalidPageId || !frames_[f].dirty) {
       continue;
     }
-    if (Status written = WriteBackLocked(f, ctx); !written.ok()) {
+    if (Status written = WriteBackLocked(f); !written.ok()) {
       return written;
     }
   }
@@ -721,37 +709,29 @@ Status BufferManager::ForceDirty(const AccessContext& ctx) {
 }
 
 EvictStatus BufferManager::Evict(storage::PageId page) {
-  if (concurrent_) DrainDeferred();
-  const auto it = page_table_.find(page);
-  if (it == page_table_.end()) return EvictStatus::kNotResident;
-  const FrameId f = it->second;
+  DrainDeferred();
+  const FrameId f = table_.Lookup(page);
+  if (f == kInvalidFrameId) return EvictStatus::kNotResident;
   Frame& frame = frames_[f];
   if (frame.quarantined) return EvictStatus::kQuarantined;
-  if (concurrent_) {
-    sync_[f].Lock();
-    if (sync_[f].pins.load(std::memory_order_acquire) != 0) {
-      sync_[f].Unlock();
-      return EvictStatus::kPinned;
-    }
-  } else if (frame.pin_count != 0) {
+  sync_[f].Lock();
+  if (PinCount(f) != 0) {
+    sync_[f].Unlock();
     return EvictStatus::kPinned;
   }
   if (frame.dirty) {
-    if (Status written = WriteBackLocked(f, AccessContext{}); !written.ok()) {
-      if (concurrent_) sync_[f].Unlock();
+    if (Status written = WriteBackLocked(f); !written.ok()) {
+      sync_[f].Unlock();
       return EvictStatus::kWriteBackFailed;
     }
   }
   ++stats_.evictions;
-  page_table_.erase(frame.page);
-  if (concurrent_) {
-    concurrent_table_->Erase(frame.page);
-    sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
-  }
+  table_.Erase(frame.page);
+  sync_[f].page.store(storage::kInvalidPageId, std::memory_order_release);
   policy_->OnPageEvicted(f, frame.page);
   frame.page = storage::kInvalidPageId;
   free_frames_.push_back(f);
-  if (concurrent_) sync_[f].Unlock();
+  sync_[f].Unlock();
   return EvictStatus::kOk;
 }
 
@@ -765,7 +745,7 @@ size_t BufferManager::dirty_count() const {
 
 void BufferManager::CollectDirtyPages(std::vector<wal::PageImageRef>* images,
                                       std::vector<FrameId>* frames) {
-  if (concurrent_) DrainDeferred();
+  DrainDeferred();
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const Frame& frame = frames_[f];
     // wal_logged dirty frames already have their current bytes in a
@@ -800,7 +780,7 @@ void BufferManager::ConfigureBackgroundWriteback(
 
 size_t BufferManager::HarvestFlushCandidates(size_t max,
                                              std::vector<DirtyCandidate>* out) {
-  if (concurrent_) DrainDeferred();
+  DrainDeferred();
   const size_t before = out->size();
   for (FrameId f = 0; f < frames_.size(); ++f) {
     const Frame& frame = frames_[f];
@@ -826,8 +806,9 @@ size_t BufferManager::HarvestFlushCandidates(size_t max,
 }
 
 StatusOr<size_t> BufferManager::FlushFrames(
-    std::span<const DirtyCandidate> candidates, const AccessContext& ctx) {
-  if (concurrent_) DrainDeferred();
+    std::span<const DirtyCandidate> candidates,
+    const AccessContext& /*ctx*/) {
+  DrainDeferred();
   // Device writes go out in ascending page-id order so adjacent dirty pages
   // coalesce into sequential device writes (write clustering) regardless of
   // the rec_lsn order the harvest selected them in.
@@ -848,22 +829,17 @@ StatusOr<size_t> BufferManager::FlushFrames(
         frame.quarantined) {
       continue;
     }
-    if (concurrent_) {
-      // Same protocol as eviction: the version lock fences out optimistic
-      // pins (their validation fails while it is held), and the live pin
-      // count is re-checked under it — so nobody can be mutating the bytes
-      // while they stream to the device.
-      sync_[f].Lock();
-      if (sync_[f].pins.load(std::memory_order_acquire) != 0 ||
-          frame.page != candidate.page || !frame.dirty || !frame.wal_logged) {
-        sync_[f].Unlock();
-        continue;
-      }
-    } else if (frame.pin_count != 0) {
+    // Same protocol as eviction: the version lock fences out optimistic
+    // pins (their validation fails while it is held), and the live pin
+    // count is re-checked under it — so nobody can be mutating the bytes
+    // while they stream to the device.
+    sync_[f].Lock();
+    if (PinCount(f) != 0) {
+      sync_[f].Unlock();
       continue;
     }
     bool device_write_failed = false;
-    const Status written = WriteBackLocked(f, ctx, &device_write_failed);
+    const Status written = WriteBackLocked(f, &device_write_failed);
     if (!written.ok() && device_write_failed) {
       // The WAL half succeeded (the current bytes sit in a durable image);
       // only the data device refuses this page. A permanent refusal — or a
@@ -874,39 +850,27 @@ StatusOr<size_t> BufferManager::FlushFrames(
       if (!written.retryable() ||
           frame.write_failures > resilience_.max_write_retries) {
         QuarantineWriteFailure(f);
-        if (concurrent_) sync_[f].Unlock();
+        sync_[f].Unlock();
         continue;  // the page is absorbed, keep flushing the rest
       }
     }
-    if (concurrent_) sync_[f].Unlock();
+    sync_[f].Unlock();
     if (!written.ok()) return written;
     ++flushed;
   }
   return flushed;
 }
 
-void BufferManager::EnableConcurrency(const ConcurrentOptions& options) {
-  SDB_CHECK_MSG(!concurrent_, "EnableConcurrency is one-shot");
-  SDB_CHECK_MSG(page_table_.empty() && stats_.requests == 0,
-                "enable concurrency before traffic");
-  sync_ = std::make_unique<FrameSync[]>(frames_.size());
-  concurrent_table_ = std::make_unique<ConcurrentPageTable>(frames_.size());
-  deferred_ = std::make_unique<AccessEventRing>(
-      std::max<size_t>(options.event_ring_capacity, 8));
-  concurrent_ = true;
-}
-
 std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     storage::PageId page, const AccessContext& ctx) {
-  SDB_DCHECK(concurrent_);
   for (uint32_t attempt = 0; attempt <= kMaxOptimisticRetries; ++attempt) {
     if (attempt > 0) {
       optimistic_retries_.fetch_add(1, std::memory_order_relaxed);
     }
-    const uint64_t table_version = concurrent_table_->version();
-    const uint32_t f = concurrent_table_->Lookup(page);
-    if (f == ConcurrentPageTable::kInvalidFrame) {
-      if (concurrent_table_->version() != table_version) {
+    const uint64_t table_version = table_.version();
+    const FrameId f = table_.Lookup(page);
+    if (f == kInvalidFrameId) {
+      if (table_.version() != table_version) {
         // The probe raced a mutation; "not found" can't be trusted.
         version_conflicts_.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -935,7 +899,7 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
     event.query = ctx.query_id;
     event.kind = DeferredEvent::Kind::kHit;
     event.edge = prev == 0;
-    if (!deferred_->TryPush(event)) {
+    if (!deferred_.TryPush(event)) {
       // Ring full: undo and let the latched path do this hit eagerly (it
       // drains the ring first, which is what makes room again).
       sync.pins.fetch_sub(1, std::memory_order_acq_rel);
@@ -949,9 +913,8 @@ std::optional<PageHandle> BufferManager::TryOptimisticFetch(
 }
 
 void BufferManager::DrainDeferred() {
-  if (!concurrent_) return;
   DeferredEvent event;
-  while (deferred_->TryPop(&event)) ApplyDeferred(event);
+  while (deferred_.TryPop(&event)) ApplyDeferred(event);
 }
 
 void BufferManager::ApplyDeferred(const DeferredEvent& event) {

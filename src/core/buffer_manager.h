@@ -148,13 +148,10 @@ struct ResilienceOptions {
   size_t max_quarantined_frames = 0;
 };
 
-/// Concurrency knobs of one BufferManager (EnableConcurrency). Off by
-/// default: single-threaded users never pay for any of it.
-struct ConcurrentOptions {
-  /// Capacity of the deferred-event ring (rounded up to a power of two). A
-  /// full ring falls back to the exclusive path, so this bounds deferral.
-  size_t event_ring_capacity = 1024;
-};
+/// Capacity of every buffer's deferred-event ring. A full ring falls back
+/// to the exclusive path, so this bounds how far policy bookkeeping may lag
+/// the optimistic hit path.
+inline constexpr size_t kDeferredEventCapacity = 1024;
 
 /// Optimistic probe attempts of TryOptimisticFetch before it gives up and
 /// the caller takes the latch.
@@ -260,6 +257,14 @@ class PageSource {
 /// apparatus of the paper. Frames hold page images read from one
 /// PageDevice (a DiskManager or a per-run ReadOnlyDiskView); every miss
 /// costs exactly one disk read (plus a write-back if the victim is dirty).
+///
+/// Every buffer runs one frame protocol: a lock-free-readable page table,
+/// a version stamp and an atomic pin count per frame, and a deferred-event
+/// ring for policy bookkeeping. A private buffer (no latch attached) applies
+/// every event inline, so its policy sees exactly the eager single-threaded
+/// sequence; a service shard (latch attached) also serves hits latch-free
+/// through TryOptimisticFetch and defers their bookkeeping to the next
+/// exclusive section.
 class BufferManager : public FrameMetaSource, public PageSource {
  public:
   /// `frames` is the buffer capacity in pages. The policy is bound to this
@@ -321,20 +326,12 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// this, keeping every hot path latch-free.
   void set_latch(std::mutex* latch) { latch_ = latch; }
 
-  /// Switches this buffer into concurrent mode (call once, before traffic,
-  /// with the external latch already attached): allocates the per-frame
-  /// version stamps, the lock-free page table mirror and the deferred-event
-  /// ring. From then on
-  /// TryOptimisticFetch may serve hits without the latch, and exclusive
-  /// sections (Fetch/New/Unpin/stats under the latch) drain the ring first.
-  void EnableConcurrency(const ConcurrentOptions& options);
-  bool concurrent() const { return concurrent_; }
-
-  /// Latch-free hit path: probes the concurrent page table, pins through
-  /// the frame's version stamp, and defers the policy/stats bookkeeping
-  /// into the event ring. Returns nullopt — after bounded retries — on a
-  /// miss, a version conflict, or a full ring; the caller then takes the
-  /// latch and calls Fetch. Only valid in concurrent mode.
+  /// Latch-free hit path: probes the page table, pins through the frame's
+  /// version stamp, and defers the policy/stats bookkeeping into the event
+  /// ring; exclusive sections (Fetch/New/Unpin/stats) drain the ring first.
+  /// Returns nullopt — after bounded retries — on a miss, a version
+  /// conflict, or a full ring; the caller then takes the latch and calls
+  /// Fetch. Meant for service shards (latch attached).
   std::optional<PageHandle> TryOptimisticFetch(storage::PageId page,
                                                const AccessContext& ctx);
 
@@ -344,7 +341,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// the service's stats/metrics paths, which must drain before reading.
   void DrainDeferred();
 
-  /// Optimistic-path counters (concurrent mode; all zero otherwise).
+  /// Optimistic-path counters (all zero unless TryOptimisticFetch runs).
   /// Retries = optimistic attempts abandoned for any reason; conflicts =
   /// version validations that failed against a concurrent writer.
   uint64_t optimistic_hits() const {
@@ -435,7 +432,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   void FlushAll();
 
   size_t frame_count() const { return frames_.size(); }
-  size_t resident_count() const { return page_table_.size(); }
+  size_t resident_count() const { return table_.size(); }
   storage::PageDevice& disk() { return *disk_; }
   ReplacementPolicy& policy() { return *policy_; }
   const ReplacementPolicy& policy() const { return *policy_; }
@@ -492,8 +489,8 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// mismatches, quarantined frames, permanent failures) and the write
   /// group (write retries, write quarantines) only once one of their counts
   /// is non-zero; wal.sync_writeback_fallbacks only with background
-  /// write-back enabled. Idempotent. In concurrent mode call DrainDeferred
-  /// first (under the latch) so deferred hits are counted.
+  /// write-back enabled. Idempotent. With optimistic traffic call
+  /// DrainDeferred first (under the latch) so deferred hits are counted.
   obs::MetricsSnapshot MetricsSnapshot() const;
 
  private:
@@ -501,7 +498,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
 
   struct Frame {
     storage::PageId page = storage::kInvalidPageId;
-    uint32_t pin_count = 0;
     bool dirty = false;
     bool quarantined = false;
     /// The frame's current bytes are logged and committed in the WAL.
@@ -549,8 +545,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Write-side escalation: detaches the (dirty, wal_logged) page from the
   /// tables, remembers the page as bad (its only current image is in the
   /// WAL), then hands the frame to QuarantineFrame. Caller holds the latch
-  /// (and, in concurrent mode, the frame's version lock with a zero pin
-  /// count).
+  /// (if any) and the frame's version lock with a zero pin count.
   void QuarantineWriteFailure(FrameId frame);
 
   /// Deterministic exponential backoff with jitter before retry number
@@ -560,35 +555,23 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// Unpin body, latch already held (or no latch attached).
   UnpinStatus UnpinLocked(FrameId frame, bool dirty);
 
-  /// Handle-release fast path: in concurrent mode an atomic decrement plus
-  /// a deferred event (the handle owns the pin by construction, so no
-  /// status to report); otherwise the classic latched Unpin.
+  /// Handle-release path: an atomic decrement plus an unpin event (the
+  /// handle owns the pin by construction, so no status to report). With a
+  /// latch attached the event is deferred into the ring; without one, or
+  /// when the ring is full, it is applied inline.
   void ReleasePin(FrameId frame);
 
   /// Applies one drained event to policy/stats/collector (latch held).
   void ApplyDeferred(const DeferredEvent& event);
 
-  /// The concurrent-mode pin-count accessors: frames_[f].pin_count and
-  /// sync_[f].pins must agree at every exclusive-section boundary, so all
-  /// exclusive-path pin arithmetic funnels through these.
+  /// The frame's live pin count.
   uint32_t PinCount(FrameId f) const {
-    return concurrent_ ? sync_[f].pins.load(std::memory_order_acquire)
-                       : frames_[f].pin_count;
-  }
-  /// Returns the pre-increment count.
-  uint32_t PinIncrement(FrameId f) {
-    if (concurrent_) return sync_[f].pins.fetch_add(1, std::memory_order_acq_rel);
-    return frames_[f].pin_count++;
-  }
-  /// Returns the pre-decrement count.
-  uint32_t PinDecrement(FrameId f) {
-    if (concurrent_) return sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel);
-    return frames_[f].pin_count--;
+    return sync_[f].pins.load(std::memory_order_acquire);
   }
   /// Installs `page` into frame `f` after its bytes are in place: page
-  /// table(s), frame fields, pin count 1, meta fill, policy load callback.
-  /// In concurrent mode the caller holds the frame's version latch and this
-  /// publishes page/pins before the caller unlocks.
+  /// table, frame fields, pin count 1, meta fill, policy load callback.
+  /// The caller holds the frame's version latch and this publishes
+  /// page/pins before the caller unlocks.
   void InstallLoadedPage(FrameId f, storage::PageId page,
                          const AccessContext& ctx, bool dirty);
 
@@ -608,8 +591,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// No-op when clean. `device_write_failed`, when given, is set iff the
   /// returned error came from the data-device write (as opposed to the WAL
   /// half) — the distinction the flusher's quarantine escalation needs.
-  Status WriteBackLocked(FrameId frame, const AccessContext& ctx,
-                         bool* device_write_failed = nullptr);
+  Status WriteBackLocked(FrameId frame, bool* device_write_failed = nullptr);
 
   /// True when the dirty ratio exceeds the configured high watermark (the
   /// point where eviction stops deferring to the background flusher).
@@ -643,7 +625,6 @@ class BufferManager : public FrameMetaSource, public PageSource {
   std::unique_ptr<std::byte[]> frame_data_;
   std::vector<Frame> frames_;
   std::vector<FrameId> free_frames_;
-  std::unordered_map<storage::PageId, FrameId> page_table_;
   BufferStats stats_;
   // Background write-back state: knobs plus the O(1) dirty census the
   // watermark checks read on every eviction.
@@ -658,14 +639,12 @@ class BufferManager : public FrameMetaSource, public PageSource {
   // collector is attached or SDB_OBS is off). Counters are not mirrored
   // into it: MetricsSnapshot renders them from stats_.
   obs::Collector* obs_ = nullptr;
-  // --- concurrent mode (EnableConcurrency; all null/false otherwise) ---
-  bool concurrent_ = false;
-  // One sync word per frame; sized with frames_ at EnableConcurrency.
+  // One sync word per frame (version stamp, published page, pin count).
   std::unique_ptr<FrameSync[]> sync_;
-  // Lock-free-readable mirror of page_table_, maintained by every exclusive
-  // mutation. page_table_ stays authoritative inside exclusive sections.
-  std::unique_ptr<ConcurrentPageTable> concurrent_table_;
-  std::unique_ptr<AccessEventRing> deferred_;
+  // The page-id -> frame map: lock-free to read, mutated only in exclusive
+  // sections.
+  ConcurrentPageTable table_;
+  AccessEventRing deferred_{kDeferredEventCapacity};
   std::atomic<uint64_t> optimistic_hits_{0};
   std::atomic<uint64_t> optimistic_retries_{0};
   std::atomic<uint64_t> version_conflicts_{0};

@@ -13,7 +13,7 @@
 namespace sdb::core {
 
 /// Per-frame synchronization word set of the optimistic latching protocol
-/// (BufferManager concurrent mode). One cache line per frame:
+/// every BufferManager runs. One cache line per frame:
 ///
 ///  - `version`: the frame's optimistic latch. Even = unlocked; bit 0 set =
 ///    a writer (eviction, load, quarantine) holds the frame exclusively.
@@ -22,10 +22,10 @@ namespace sdb::core {
 ///    whose before/after loads straddle it re-validates.
 ///  - `page`: the resident page id, published only inside exclusive
 ///    sections (readers re-check it after validating the version).
-///  - `pins`: the live pin count. Optimistic readers pin with fetch_add and
-///    re-validate `version`; the evictor locks `version` first and then
-///    refuses any frame whose `pins` is nonzero — one side always sees the
-///    other.
+///  - `pins`: the frame's only pin count. Optimistic readers pin with
+///    fetch_add and re-validate `version`; the evictor locks `version` first
+///    and then refuses any frame whose `pins` is nonzero — one side always
+///    sees the other.
 struct alignas(64) FrameSync {
   std::atomic<uint64_t> version{0};
   std::atomic<uint32_t> page{storage::kInvalidPageId};
@@ -54,12 +54,13 @@ struct alignas(64) FrameSync {
   }
 };
 
-/// Lock-free-readable page-id -> frame mapping: open addressing over packed
-/// 64-bit atomic slots, `(page + 1) << 32 | frame` (page ids are 32-bit, so
-/// the packed key 0 doubles as "empty"). Readers probe without any lock;
-/// writers (shard latch held) insert, erase (tombstone) and rebuild, bumping
-/// `version` on every mutation so a reader can tell its probe raced a
-/// writer and fall back to the latched path. A stale positive is harmless
+/// A BufferManager's page table, readable lock-free: page-id -> frame by
+/// open addressing over packed 64-bit atomic slots, `(page + 1) << 32 |
+/// frame` (page ids are 32-bit, so a zero key word marks the empty and
+/// tombstone slots). Readers probe without any lock; writers (exclusive
+/// section) insert, erase (tombstone) and rebuild, bumping `version` on
+/// every mutation so a reader can tell its probe raced a writer and fall
+/// back to the latched path. A stale positive is harmless
 /// either way — the frame's own version stamp is re-validated before the
 /// pin counts — so the table only has to be atomically *word*-consistent,
 /// never globally consistent.
@@ -77,6 +78,7 @@ class ConcurrentPageTable {
 
   /// Lock-free probe. Returns the mapped frame or kInvalidFrame.
   uint32_t Lookup(storage::PageId page) const {
+    if (page == storage::kInvalidPageId) return kInvalidFrame;
     const uint64_t key = Key(page);
     for (size_t i = Home(page);; i = (i + 1) & mask_) {
       const uint64_t slot = slots_[i].load(std::memory_order_acquire);
@@ -134,12 +136,14 @@ class ConcurrentPageTable {
 
  private:
   static constexpr uint64_t kEmpty = 0;
-  // An impossible key (page kInvalidPageId is never inserted) with frame
-  // field 0: marks a vacated slot that probes must walk through.
-  static constexpr uint64_t kTombstone =
-      (static_cast<uint64_t>(storage::kInvalidPageId) + 1) << 32;
+  // Key word 0 with frame field 1: no live slot has a zero key word (Key()
+  // is >= 1 << 32), so this marks a vacated slot that probes must walk
+  // through and that no lookup can match.
+  static constexpr uint64_t kTombstone = 1;
+  static_assert(kTombstone != kEmpty);
 
   static uint64_t Key(storage::PageId page) {
+    SDB_DCHECK(page != storage::kInvalidPageId);  // would wrap to key word 0
     return (static_cast<uint64_t>(page) + 1) << 32;
   }
 

@@ -93,9 +93,6 @@ void BufferService::Init(const storage::DiskManager& disk,
         device, SplitFrames(total_frames_, config.shard_count, s),
         std::move(policy), shard->collector.get(), config.resilience);
     shard->buffer->set_latch(&shard->latch);
-    core::ConcurrentOptions concurrent;
-    concurrent.event_ring_capacity = config.event_ring_capacity;
-    shard->buffer->EnableConcurrency(concurrent);
     if (wal_ != nullptr) shard->buffer->AttachWal(wal_);
     if (writable_disk_ != nullptr && config.flusher_threads > 0) {
       core::WritebackOptions writeback;
@@ -238,7 +235,7 @@ core::StatusOr<core::PageHandle> BufferService::New(
   return shard.buffer->NewAt(page, ctx);
 }
 
-core::Status BufferService::Commit(const core::AccessContext& ctx) {
+core::Status BufferService::Commit(const core::AccessContext& /*ctx*/) {
   if (wal_ == nullptr) {
     return core::Status::Unimplemented(
         "BufferService is read-only: nothing to commit");
@@ -265,7 +262,7 @@ core::Status BufferService::Commit(const core::AccessContext& ctx) {
     const std::lock_guard<std::mutex> device_lock(device_mu_);
     page_count = writable_disk_->page_count();
   }
-  core::StatusOr<wal::Lsn> end = wal_->CommitPages(images, page_count, ctx);
+  core::StatusOr<wal::Lsn> end = wal_->CommitPages(images, page_count);
   if (!end.ok()) {
     // A commit can fail transiently (shutdown race); only a sticky WAL
     // error — durability is gone for good — trips degraded mode.
@@ -306,7 +303,7 @@ core::Status BufferService::Checkpoint(const core::AccessContext& ctx) {
     const std::lock_guard<std::mutex> device_lock(device_mu_);
     page_count = writable_disk_->page_count();
   }
-  core::StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(page_count, ctx);
+  core::StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(page_count);
   if (!end.ok()) {
     if (!wal_->sticky_error().ok()) EnterDegraded(DegradedState::kWalError);
     return end.status();

@@ -66,10 +66,6 @@ struct BufferServiceConfig {
   /// Per-shard fault handling (retry budget, checksum verification,
   /// quarantine cap), forwarded to every shard's BufferManager.
   core::ResilienceOptions resilience;
-  /// Per-shard deferred-event ring capacity of the optimistic hit path
-  /// (rounded up to a power of two). Small rings just fall back to the
-  /// latched path more often.
-  size_t event_ring_capacity = 1024;
   /// When enabled, every shard reads through its own FaultInjectingDevice
   /// wrapping the shard view; the profile seed is mixed with the shard
   /// index so shards draw independent fault sequences but the whole service

@@ -222,7 +222,7 @@ void WalManager::WriterLoop() {
 
 core::StatusOr<Lsn> WalManager::CommitPages(
     std::span<const PageImageRef> images, uint64_t data_page_count,
-    const core::AccessContext& /*ctx*/, bool forced_steal) {
+    bool forced_steal) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!sticky_error_.ok()) return sticky_error_;
   if (options_.group_commit) {
@@ -278,8 +278,7 @@ core::StatusOr<Lsn> WalManager::CommitPages(
   return end;
 }
 
-core::StatusOr<Lsn> WalManager::AppendCheckpoint(
-    uint64_t data_page_count, const core::AccessContext& /*ctx*/) {
+core::StatusOr<Lsn> WalManager::AppendCheckpoint(uint64_t data_page_count) {
   Lsn end = kNullLsn;
   {
     std::lock_guard<std::mutex> lock(mu_);

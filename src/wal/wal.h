@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/access_context.h"
 #include "core/status.h"
 #include "storage/disk_manager.h"
 #include "wal/log_record.h"
@@ -106,17 +105,14 @@ class WalManager {
   /// batched flush). `data_page_count` is stamped into the commit record so
   /// recovery can bound byte-exactness to committed pages. Returns the LSN
   /// just past the commit record — the caller's new durable horizon.
-  /// `ctx` (here and in AppendCheckpoint) is not read.
   core::StatusOr<Lsn> CommitPages(std::span<const PageImageRef> images,
                                   uint64_t data_page_count,
-                                  const core::AccessContext& ctx,
                                   bool forced_steal = false);
 
   /// Appends a checkpoint record (empty payload) and makes it durable. The
   /// caller must have forced every committed dirty page to the data device
   /// first: recovery redoes nothing before the record.
-  core::StatusOr<Lsn> AppendCheckpoint(uint64_t data_page_count,
-                                       const core::AccessContext& ctx);
+  core::StatusOr<Lsn> AppendCheckpoint(uint64_t data_page_count);
 
   /// Stops accepting group commits, joins the writer thread and runs one
   /// final flush, so everything appended before the call is durable when it

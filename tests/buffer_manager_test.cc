@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
+#include <unordered_map>
+#include <vector>
 
 #include "core/buffer_manager.h"
 #include "core/policy_lru.h"
@@ -293,6 +296,67 @@ TEST_F(BufferManagerTest, FailedFetchLeavesNoPinBehind) {
     PageHandle handle = buffer.FetchOrDie(page, AccessContext{q});
     ASSERT_TRUE(handle.valid());
   }
+}
+
+TEST(ConcurrentPageTableTest, RandomChurnMatchesAReferenceMap) {
+  // Eviction-style churn at full occupancy: tombstones pile up, get reused
+  // and trigger compacting rebuilds; every lookup must agree with a plain
+  // map throughout.
+  constexpr size_t kFrames = 64;
+  constexpr PageId kUniverse = 500;
+  ConcurrentPageTable table(kFrames);
+  std::unordered_map<PageId, uint32_t> reference;
+  std::vector<PageId> resident;
+  std::mt19937_64 rng(0x7ab1e);
+  size_t rebuilds = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (resident.size() < kFrames && (resident.empty() || rng() % 2 == 0)) {
+      const PageId page = static_cast<PageId>(rng() % kUniverse);
+      if (reference.contains(page)) continue;
+      const auto frame = static_cast<uint32_t>(rng() % kFrames);
+      table.Insert(page, frame);
+      reference.emplace(page, frame);
+      resident.push_back(page);
+    } else {
+      const size_t victim = rng() % resident.size();
+      const PageId page = resident[victim];
+      resident[victim] = resident.back();
+      resident.pop_back();
+      const uint64_t before = table.version();
+      table.Erase(page);
+      // One bump for the erase itself; a compaction re-inserts the live set.
+      if (table.version() - before > 1) ++rebuilds;
+      reference.erase(page);
+    }
+    ASSERT_EQ(table.size(), reference.size());
+    if (op % 97 == 0) {
+      for (PageId page = 0; page < kUniverse; ++page) {
+        const auto it = reference.find(page);
+        ASSERT_EQ(table.Lookup(page), it == reference.end()
+                                          ? ConcurrentPageTable::kInvalidFrame
+                                          : it->second)
+            << "page " << page << " after op " << op;
+      }
+    }
+  }
+  EXPECT_GE(rebuilds, 3u) << "the churn must cross the rebuild threshold";
+  EXPECT_EQ(table.Lookup(storage::kInvalidPageId),
+            ConcurrentPageTable::kInvalidFrame);
+}
+
+TEST(ConcurrentPageTableTest, EraseBelowTheRebuildThresholdBumpsVersionOnce) {
+  ConcurrentPageTable table(16);
+  for (PageId page = 0; page < 8; ++page) table.Insert(page, page);
+  const uint64_t before = table.version();
+  table.Erase(3);
+  EXPECT_EQ(table.version(), before + 1) << "a lone erase must not rebuild";
+  EXPECT_EQ(table.Lookup(3), ConcurrentPageTable::kInvalidFrame);
+  for (PageId page = 0; page < 8; ++page) {
+    if (page != 3) {
+      EXPECT_EQ(table.Lookup(page), page);
+    }
+  }
+  EXPECT_EQ(table.size(), 7u);
 }
 
 using BufferManagerDeathTest = BufferManagerTest;

@@ -64,7 +64,6 @@ TEST_F(LatchStressTest, SixteenWorkersSixteenShardsSoak) {
   // so the soak constantly evicts.
   config.total_frames = kShards * (kWorkers * (kBatch + 1) + 1);
   config.policy_spec = "ASB";
-  config.event_ring_capacity = 64;  // small ring: force frequent drains
   BufferService service(disk(), config);
 
   std::atomic<uint64_t> total_fetches{0};

@@ -16,13 +16,13 @@
 namespace sdb::test {
 
 /// Serial reference model of a read-only svc::BufferService: one private
-/// BufferManager per shard (no EnableConcurrency, no latch) with the
-/// service's frame split and policy, reading through its own view of the
-/// same disk; ASB shards share one AsbSharedTuning exactly as the service's
-/// do. Fed the service's access stream in the same order, it must report
-/// the service's hit/miss/eviction/read counts exactly — the optimistic
-/// protocol's promise that serial execution is bit-identical to a plain
-/// single-threaded buffer.
+/// BufferManager per shard (no latch: nothing is served optimistically and
+/// every policy event is applied inline) with the service's frame split and
+/// policy, reading through its own view of the same disk; ASB shards share
+/// one AsbSharedTuning exactly as the service's do. Fed the service's access
+/// stream in the same order, it must report the service's
+/// hit/miss/eviction/read counts exactly — the optimistic protocol's promise
+/// that serial execution is bit-identical to a plain single-threaded buffer.
 class PrivateShardReference {
  public:
   PrivateShardReference(const storage::DiskManager& disk,

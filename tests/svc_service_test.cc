@@ -493,12 +493,15 @@ TEST_F(BufferServiceTest, ConcurrentDetachAndMoveRacesOnOneFrame) {
 }
 
 TEST_F(BufferServiceTest, TinyEventRingFallsBackWithoutLosingEvents) {
+  // Concurrent storm over a pool much smaller than the page universe: every
+  // access is counted once whichever path (optimistic, latched, ring-full
+  // fallback) served it. FullEventRingFallsBackToTheLatchedPath below forces
+  // the ring-full fallback deterministically.
   const std::vector<PageId> pages = AllPages();
   BufferServiceConfig config;
   config.total_frames = 24;
   config.shard_count = 2;
   config.policy_spec = "ASB";
-  config.event_ring_capacity = 4;  // storm: constant ring-full fallbacks
   BufferService service(disk(), config);
 
   constexpr size_t kThreads = 4;
@@ -520,6 +523,33 @@ TEST_F(BufferServiceTest, TinyEventRingFallsBackWithoutLosingEvents) {
       << "ring-full fallbacks must not drop or double-count accesses";
   EXPECT_EQ(stats.buffer.hits + stats.buffer.misses, stats.buffer.requests);
   EXPECT_EQ(stats.buffer.misses, stats.io.reads);
+}
+
+TEST_F(BufferServiceTest, FullEventRingFallsBackToTheLatchedPath) {
+  // Single thread, one resident page, no latched call in between: each
+  // optimistic fetch + release pushes two events (hit, unpin), so the ring
+  // fills long before kN fetches and some fetches must take the latched
+  // path, whose drain makes room again. Every fetch is still counted.
+  BufferServiceConfig config;
+  config.total_frames = 8;
+  config.shard_count = 1;
+  config.policy_spec = "LRU";
+  BufferService service(disk(), config);
+  const PageId page = 0;
+  uint64_t query = 0;
+  service.FetchOrDie(page, core::AccessContext{++query}).Release();  // miss
+
+  constexpr uint64_t kN = 3 * core::kDeferredEventCapacity;
+  for (uint64_t i = 0; i < kN; ++i) {
+    service.FetchOrDie(page, core::AccessContext{++query}).Release();
+  }
+  const ShardStats stats = service.AggregateStats();
+  EXPECT_GT(stats.optimistic_hits, 0u);
+  EXPECT_LT(stats.optimistic_hits, kN)
+      << "a full ring must send fetches to the latched path";
+  EXPECT_EQ(stats.buffer.hits, kN) << "no deferred event may be lost";
+  EXPECT_EQ(stats.buffer.misses, 1u);
+  EXPECT_EQ(stats.buffer.requests, kN + 1);
 }
 
 TEST_F(BufferServiceTest, MetricsStayMonotonicAcrossMidRunQuarantine) {

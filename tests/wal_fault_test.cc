@@ -40,8 +40,7 @@ TEST(WalWriteFaultTest, TransientWriteFaultsRetryAndCommitSucceeds) {
   storage::FaultInjectingDevice device(log, profile);
   WalManager wal(&device);
   const auto image = MakeImage(log.page_size(), 0xAA);
-  const core::StatusOr<Lsn> end =
-      wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{1});
+  const core::StatusOr<Lsn> end = wal.CommitPages({{Ref(0, image)}}, 1);
   ASSERT_TRUE(end.ok()) << end.status().ToString();
   EXPECT_TRUE(wal.sticky_error().ok());
   EXPECT_GE(wal.stats().write_retries, 1u);
@@ -56,8 +55,7 @@ TEST(WalWriteFaultTest, FailedSyncRetriesRewriteTheWholeBlock) {
   storage::FaultInjectingDevice device(log, profile);
   WalManager wal(&device);
   const auto image = MakeImage(log.page_size(), 0xBB);
-  const core::StatusOr<Lsn> end =
-      wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{1});
+  const core::StatusOr<Lsn> end = wal.CommitPages({{Ref(0, image)}}, 1);
   ASSERT_TRUE(end.ok()) << end.status().ToString();
   EXPECT_EQ(device.fault_stats().sync_failures, 1u);
   EXPECT_GE(wal.stats().write_retries, 1u);
@@ -84,8 +82,7 @@ TEST(WalWriteFaultTest, ExhaustedRetriesTurnSticky) {
   WalManager wal(&device, options);
   const auto image = MakeImage(log.page_size(), 0xCC);
   const Lsn durable_before = wal.durable_lsn();
-  const core::StatusOr<Lsn> end =
-      wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{1});
+  const core::StatusOr<Lsn> end = wal.CommitPages({{Ref(0, image)}}, 1);
   ASSERT_FALSE(end.ok());
   EXPECT_EQ(end.status().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(wal.sticky_error().ok());
@@ -96,12 +93,11 @@ TEST(WalWriteFaultTest, ExhaustedRetriesTurnSticky) {
   EXPECT_GT(wal.next_lsn(), wal.durable_lsn());
   // Later calls fail fast with the same sticky error instead of re-running
   // the retry gauntlet.
-  const core::StatusOr<Lsn> again =
-      wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{2});
+  const core::StatusOr<Lsn> again = wal.CommitPages({{Ref(0, image)}}, 1);
   EXPECT_FALSE(again.ok());
   EXPECT_EQ(wal.EnsureDurable(wal.next_lsn()).code(),
             StatusCode::kUnavailable);
-  EXPECT_FALSE(wal.AppendCheckpoint(1, core::AccessContext{3}).ok());
+  EXPECT_FALSE(wal.AppendCheckpoint(1).ok());
 }
 
 TEST(WalWriteFaultTest, FullLogDeviceIsTerminalNotRetryable) {
@@ -111,10 +107,8 @@ TEST(WalWriteFaultTest, FullLogDeviceIsTerminalNotRetryable) {
   const auto image = MakeImage(log.page_size(), 0xDD);
   // The first commit group fits into the capacity; the second needs another
   // log page and hits the cap.
-  ASSERT_TRUE(wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{1})
-                  .ok());
-  const core::StatusOr<Lsn> full =
-      wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{2});
+  ASSERT_TRUE(wal.CommitPages({{Ref(0, image)}}, 1).ok());
+  const core::StatusOr<Lsn> full = wal.CommitPages({{Ref(0, image)}}, 1);
   ASSERT_FALSE(full.ok());
   EXPECT_EQ(full.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(wal.sticky_error().code(), StatusCode::kResourceExhausted);
@@ -142,9 +136,7 @@ TEST(WalWriteFaultTest, GroupCommitWaitersAllWakeWithStickyError) {
       committers.emplace_back([&, t] {
         const auto image = MakeImage(log.page_size(),
                                      static_cast<uint8_t>(t));
-        const core::StatusOr<Lsn> end = wal.CommitPages(
-            {{Ref(0, image)}}, 1,
-            core::AccessContext{static_cast<uint64_t>(t) + 1});
+        const core::StatusOr<Lsn> end = wal.CommitPages({{Ref(0, image)}}, 1);
         (end.ok() ? succeeded : failed).fetch_add(1);
       });
     }
@@ -171,8 +163,7 @@ TEST(WalWriteFaultTest, EnsureDurableWakesWithErrorInGroupCommitMode) {
   const auto image = MakeImage(log.page_size(), 0xEE);
   // The commit fails (sticky); a durability probe for its LSN must report
   // the error, not block and not claim success.
-  ASSERT_FALSE(
-      wal.CommitPages({{Ref(0, image)}}, 1, core::AccessContext{1}).ok());
+  ASSERT_FALSE(wal.CommitPages({{Ref(0, image)}}, 1).ok());
   const core::Status durable = wal.EnsureDurable(wal.next_lsn());
   EXPECT_EQ(durable.code(), StatusCode::kUnavailable);
   EXPECT_EQ(wal.durable_lsn(), 0u);
@@ -195,10 +186,8 @@ TEST(WalWriteFaultTest, StickyLogRecoversOnlyAcknowledgedCommits) {
   WalManager wal(&device, options);
   const auto first = MakeImage(log.page_size(), 0x01);
   const auto second = MakeImage(log.page_size(), 0x02);
-  ASSERT_TRUE(wal.CommitPages({{Ref(0, first)}}, 1, core::AccessContext{1})
-                  .ok());
-  ASSERT_FALSE(wal.CommitPages({{Ref(0, second)}}, 1, core::AccessContext{2})
-                   .ok());
+  ASSERT_TRUE(wal.CommitPages({{Ref(0, first)}}, 1).ok());
+  ASSERT_FALSE(wal.CommitPages({{Ref(0, second)}}, 1).ok());
   EXPECT_FALSE(wal.sticky_error().ok());
 
   storage::DiskManager data;

@@ -146,7 +146,7 @@ TEST(WalManagerTest, InlineCommitIsImmediatelyDurable) {
   const auto a = MakeImage(kPageSize, 0xA1);
   const auto b = MakeImage(kPageSize, 0xB2);
   const PageImageRef images[] = {{4, a}, {9, b}};
-  const core::StatusOr<Lsn> end = wal.CommitPages(images, 10, {});
+  const core::StatusOr<Lsn> end = wal.CommitPages(images, 10);
   ASSERT_TRUE(end.ok());
   EXPECT_EQ(*end, wal.next_lsn());
   EXPECT_EQ(wal.durable_lsn(), wal.next_lsn()) << "inline commit flushes";
@@ -180,7 +180,7 @@ TEST(WalManagerTest, PartialTailPageSurvivesRepeatedFlushes) {
   for (uint8_t i = 0; i < 20; ++i) {
     const auto image = MakeImage(kPageSize, i);
     const PageImageRef ref{i, image};
-    ASSERT_TRUE(wal.CommitPages({&ref, 1}, 20, {}).ok());
+    ASSERT_TRUE(wal.CommitPages({&ref, 1}, 20).ok());
   }
   const std::vector<std::byte> stream = ReadStream(log);
   Lsn offset = 0;
@@ -208,7 +208,7 @@ TEST(WalManagerTest, SegmentBoundariesAreCounted) {
   for (int i = 0; i < 8; ++i) {
     const auto image = MakeImage(kPageSize, 0x33);
     const PageImageRef ref{0, image};
-    ASSERT_TRUE(wal.CommitPages({&ref, 1}, 1, {}).ok());
+    ASSERT_TRUE(wal.CommitPages({&ref, 1}, 1).ok());
   }
   EXPECT_GE(wal.stats().segments_opened, 3u);
 }
@@ -218,7 +218,7 @@ TEST(WalManagerTest, EnsureDurableIsIdempotentOnDurablePrefix) {
   WalManager wal(&log);
   const auto image = MakeImage(kPageSize, 0x44);
   const PageImageRef ref{0, image};
-  const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 1, {});
+  const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 1);
   ASSERT_TRUE(end.ok());
   EXPECT_TRUE(wal.EnsureDurable(*end).ok());
   EXPECT_TRUE(wal.EnsureDurable(0).ok());
@@ -244,7 +244,7 @@ TEST(WalGroupCommitTest, ConcurrentCommittersAllBecomeDurable) {
           const auto image = MakeImage(
               kPageSize, static_cast<uint8_t>(t * kCommitsPerThread + i));
           const PageImageRef ref{static_cast<storage::PageId>(t), image};
-          const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 4, {});
+          const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 4);
           ASSERT_TRUE(end.ok());
           EXPECT_TRUE(wal.EnsureDurable(*end).ok());
         }
@@ -289,7 +289,7 @@ TEST(WalGroupCommitTest, ShutdownUnderLoadAcknowledgesOnlyDurableCommits) {
       for (size_t i = 0; i < 64; ++i) {
         const auto image = MakeImage(kPageSize, static_cast<uint8_t>(i));
         const PageImageRef ref{static_cast<storage::PageId>(t), image};
-        const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 4, {});
+        const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 4);
         if (!end.ok()) {
           // The log closed mid-stream: the only legal refusal. The thread's
           // records may still be durable — recovery's problem, not ours.
@@ -343,13 +343,13 @@ TEST(WalGroupCommitTest, CheckpointsRunConcurrentlyWithCommits) {
       for (size_t i = 0; i < 48; ++i) {
         const auto image = MakeImage(kPageSize, static_cast<uint8_t>(i));
         const PageImageRef ref{static_cast<storage::PageId>(t), image};
-        const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 2, {});
+        const core::StatusOr<Lsn> end = wal.CommitPages({&ref, 1}, 2);
         EXPECT_TRUE(end.ok());
       }
     });
   }
   for (int round = 0; round < 8; ++round) {
-    const core::StatusOr<Lsn> end = wal.AppendCheckpoint(2, {});
+    const core::StatusOr<Lsn> end = wal.AppendCheckpoint(2);
     ASSERT_TRUE(end.ok());
     ASSERT_TRUE(wal.EnsureDurable(*end).ok());
   }
@@ -504,7 +504,7 @@ TEST(RecoveryTest, ParallelRedoIsByteIdenticalToSerial) {
               MakeImage(kPageSize, static_cast<uint8_t>(rng >> 16)));
           refs.push_back({page, images.back()});
         }
-        ASSERT_TRUE(wal.CommitPages(refs, kDataPages, {}).ok());
+        ASSERT_TRUE(wal.CommitPages(refs, kDataPages).ok());
       }
     }
 
@@ -574,7 +574,7 @@ void RunCrashWorkload(uint64_t torn_index, uint64_t seed, CrashRun* run) {
     // The torn write is silent: CommitPages reports success even when the
     // flush corrupted the device. That IS the crash model — the loss is
     // only discoverable at recovery.
-    ASSERT_TRUE(wal.CommitPages({&ref, 1}, kDataPages, {}).ok());
+    ASSERT_TRUE(wal.CommitPages({&ref, 1}, kDataPages).ok());
     state[page] = fill;
     run->expected_pages.push_back(state);
     run->commit_of_end_lsn[wal.next_lsn()] = i;
