@@ -160,13 +160,13 @@ RecoveryCell RunRecoveryCell(size_t churn_ops) {
   sim::ChurnHooks hooks;
   hooks.commit = [&] {
     tree.PersistMeta();
-    return buffer.Commit(ctx);
+    return buffer.Commit();
   };
   const core::StatusOr<sim::ChurnResult> churn =
       sim::RunChurn(tree, geom::Rect(0, 0, 100, 100), options, hooks, ctx);
   SDB_CHECK_MSG(churn.ok(), "bench churn failed");
   tree.PersistMeta();
-  SDB_CHECK_MSG(buffer.Commit(ctx).ok(), "bench final commit failed");
+  SDB_CHECK_MSG(buffer.Commit().ok(), "bench final commit failed");
 
   RecoveryCell cell;
   cell.churn_ops = churn_ops;
@@ -264,11 +264,11 @@ MixCell RunMixCell(const std::string& image_path,
     }
     if (op % 64 == 0) {
       tree.PersistMeta();
-      SDB_CHECK_MSG(buffer.Commit(ctx).ok(), "bench mix commit failed");
+      SDB_CHECK_MSG(buffer.Commit().ok(), "bench mix commit failed");
     }
   }
   tree.PersistMeta();
-  SDB_CHECK_MSG(buffer.Checkpoint(ctx).ok(), "bench mix checkpoint failed");
+  SDB_CHECK_MSG(buffer.Checkpoint().ok(), "bench mix checkpoint failed");
 
   MixCell cell;
   cell.policy = policy;
@@ -462,13 +462,13 @@ std::vector<RedoCell> RunRedoSweep(size_t churn_ops) {
     sim::ChurnHooks hooks;
     hooks.commit = [&] {
       tree.PersistMeta();
-      return buffer.Commit(ctx);
+      return buffer.Commit();
     };
     const core::StatusOr<sim::ChurnResult> churn = sim::RunChurn(
         tree, geom::Rect(0, 0, 100, 100), options, hooks, ctx);
     SDB_CHECK_MSG(churn.ok(), "redo bench churn failed");
     tree.PersistMeta();
-    SDB_CHECK_MSG(buffer.Commit(ctx).ok(), "redo bench commit failed");
+    SDB_CHECK_MSG(buffer.Commit().ok(), "redo bench commit failed");
   }
 
   std::vector<RedoCell> cells;

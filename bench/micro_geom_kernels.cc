@@ -1,7 +1,7 @@
 // Microbenchmark (google-benchmark): throughput of the batch geometry
 // kernels (geom/kernels) per dispatch tier — IntersectMask, SumAreas,
-// SumMargins and the O(n²) PairwiseOverlapSum — on SoA coordinate arrays at
-// R*-tree node fanouts.
+// SumMargins and the O(n²) PairwiseOverlapSum and OverlapEnlargement (R*
+// ChooseSubtree) — on SoA coordinate arrays at R*-tree node fanouts.
 //
 // Besides the google-benchmark timings, the binary runs a deterministic
 // scalar-vs-tier A/B table over the kernel × fanout grid, verifies the
@@ -52,6 +52,8 @@ struct CoordSet {
   }
   geom::kernels::SoaBuffer buf;
   geom::Rect query = geom::Rect(0.3, 0.3, 0.7, 0.7);
+  /// Small object being inserted (overlap_enlargement's `add`).
+  geom::Rect insert = geom::Rect(0.48, 0.5, 0.5, 0.51);
 };
 
 /// Pool of distinct coordinate sets, cycled per kernel call. Repeating one
@@ -114,6 +116,22 @@ void BM_Sum(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+void BM_OverlapEnlargement(benchmark::State& state, Level level) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const std::vector<CoordSet> sets = MakeSets(n, 8);
+  std::vector<double> out(n);
+  const Ops& ops = geom::kernels::OpsFor(level);
+  size_t idx = 0;
+  for (auto _ : state) {
+    const CoordSet& set = sets[idx];
+    idx = (idx + 1) % sets.size();
+    ops.overlap_enlargement(set.insert, set.buf.xmin(), set.buf.ymin(),
+                            set.buf.xmax(), set.buf.ymax(), n, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 void RegisterAll() {
   for (const Level level : AvailableLevels()) {
     const std::string suffix(geom::kernels::LevelName(level));
@@ -146,6 +164,14 @@ void RegisterAll() {
         ->Arg(16)
         ->Arg(64)
         ->Arg(84);
+    benchmark::RegisterBenchmark(
+        ("overlap_enlargement/" + suffix).c_str(),
+        [level](benchmark::State& state) {
+          BM_OverlapEnlargement(state, level);
+        })
+        ->Arg(16)
+        ->Arg(64)
+        ->Arg(84);
   }
 }
 
@@ -164,7 +190,7 @@ uint64_t FoldChecksum(uint64_t acc, double value) {
 
 Cell TimeKernel(const std::string& kernel, Level level,
                 const std::vector<CoordSet>& sets, size_t n,
-                std::vector<uint8_t>& mask) {
+                std::vector<uint8_t>& mask, std::vector<double>& out) {
   const Ops& ops = geom::kernels::OpsFor(level);
   size_t idx = 0;
   const auto call = [&]() -> double {
@@ -174,6 +200,14 @@ Cell TimeKernel(const std::string& kernel, Level level,
       return static_cast<double>(ops.intersect_mask(
           set.query, set.buf.xmin(), set.buf.ymin(), set.buf.xmax(),
           set.buf.ymax(), n, mask.data()));
+    }
+    if (kernel == "overlap_enlargement") {
+      // Fold every candidate's value: each one must be bit-identical.
+      ops.overlap_enlargement(set.insert, set.buf.xmin(), set.buf.ymin(),
+                              set.buf.xmax(), set.buf.ymax(), n, out.data());
+      uint64_t folded = 0;
+      for (size_t i = 0; i < n; ++i) folded = FoldChecksum(folded, out[i]);
+      return std::bit_cast<double>(folded);
     }
     const auto sum = kernel == "sum_areas"        ? ops.sum_areas
                      : kernel == "sum_margins"    ? ops.sum_margins
@@ -223,7 +257,8 @@ Cell TimeKernel(const std::string& kernel, Level level,
 void RunKernelTable() {
   const std::vector<Level> levels = AvailableLevels();
   const std::vector<std::string> kernels = {
-      "intersect_mask", "sum_areas", "sum_margins", "pairwise_overlap_sum"};
+      "intersect_mask", "sum_areas", "sum_margins", "pairwise_overlap_sum",
+      "overlap_enlargement"};
   // 42 / 84: the data-page fanout of the paper's trees and the 4 KiB page
   // capacity; 256: a large directory sweep.
   const std::vector<size_t> fanouts = {16, 42, 64, 84, 256};
@@ -244,9 +279,10 @@ void RunKernelTable() {
     for (const size_t n : fanouts) {
       const std::vector<CoordSet> sets = MakeSets(n, 16);
       std::vector<uint8_t> mask(n);
+      std::vector<double> out(n);
       std::vector<Cell> cells;
       for (const Level level : levels) {
-        cells.push_back(TimeKernel(kernel, level, sets, n, mask));
+        cells.push_back(TimeKernel(kernel, level, sets, n, mask, out));
         calls->Add();
         entries->Add(n);
         if (cells.back().checksum != cells.front().checksum) {

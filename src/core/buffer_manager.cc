@@ -117,7 +117,13 @@ BufferManager::~BufferManager() { FlushAll(); }
 
 StatusOr<PageHandle> BufferManager::Fetch(storage::PageId page,
                                           const AccessContext& ctx) {
-  DrainDeferred();
+  // Only latch-free hits and latched releases queue events, so a private
+  // buffer has nothing to drain.
+  if (latch_ != nullptr) {
+    DrainDeferred();
+  } else {
+    SDB_DCHECK(deferred_.Empty());
+  }
   // Fast-fail on a page that already failed terminally: no device traffic,
   // no frame churn, the caller gets the same terminal code every time.
   if (!bad_pages_.empty()) {
@@ -579,25 +585,24 @@ void BufferManager::ReleasePin(FrameId f) {
   const storage::PageId page = sync_[f].page.load(std::memory_order_acquire);
   const uint32_t prev = sync_[f].pins.fetch_sub(1, std::memory_order_acq_rel);
   SDB_CHECK_MSG(prev > 0, "handle released a frame it no longer pins");
+  if (latch_ == nullptr) {
+    // A private buffer stays eager: nothing is ever queued in its ring, so
+    // the unpin edge applies inline.
+    SDB_DCHECK(deferred_.Empty());
+    if (prev == 1) policy_->SetEvictable(f, true);
+    return;
+  }
   DeferredEvent event;
   event.frame = f;
   event.page = page;
   event.kind = DeferredEvent::Kind::kUnpin;
   event.edge = prev == 1;
-  if (latch_ != nullptr && deferred_.TryPush(event)) return;
-  // No latch (a private buffer stays eager) or ring full: apply now, under
-  // the latch if any, draining the backlog first so the event order the
-  // policy sees stays FIFO.
-  const auto apply = [&] {
-    DrainDeferred();
-    ApplyDeferred(event);
-  };
-  if (latch_ == nullptr) {
-    apply();
-  } else {
-    std::lock_guard<std::mutex> lock(*latch_);
-    apply();
-  }
+  if (deferred_.TryPush(event)) return;
+  // Ring full: apply now under the latch, draining the backlog first so the
+  // event order the policy sees stays FIFO.
+  std::lock_guard<std::mutex> lock(*latch_);
+  DrainDeferred();
+  ApplyDeferred(event);
 }
 
 void BufferManager::MarkFrameDirty(FrameId f) {
@@ -672,7 +677,7 @@ Status BufferManager::WriteBackLocked(FrameId f, bool* device_write_failed) {
   return Status::Ok();
 }
 
-Status BufferManager::Commit(const AccessContext& /*ctx*/) {
+Status BufferManager::Commit() {
   if (wal_ == nullptr) {
     return Status::Unimplemented("no write-ahead log attached");
   }
@@ -686,17 +691,17 @@ Status BufferManager::Commit(const AccessContext& /*ctx*/) {
   return Status::Ok();
 }
 
-Status BufferManager::Checkpoint(const AccessContext& ctx) {
+Status BufferManager::Checkpoint() {
   if (wal_ == nullptr) {
     return Status::Unimplemented("no write-ahead log attached");
   }
-  if (Status committed = Commit(ctx); !committed.ok()) return committed;
-  if (Status forced = ForceDirty(ctx); !forced.ok()) return forced;
+  if (Status committed = Commit(); !committed.ok()) return committed;
+  if (Status forced = ForceDirty(); !forced.ok()) return forced;
   StatusOr<wal::Lsn> end = wal_->AppendCheckpoint(disk_->page_count());
   return end.ok() ? Status::Ok() : end.status();
 }
 
-Status BufferManager::ForceDirty(const AccessContext& /*ctx*/) {
+Status BufferManager::ForceDirty() {
   for (FrameId f = 0; f < frames_.size(); ++f) {
     if (frames_[f].page == storage::kInvalidPageId || !frames_[f].dirty) {
       continue;
@@ -806,8 +811,7 @@ size_t BufferManager::HarvestFlushCandidates(size_t max,
 }
 
 StatusOr<size_t> BufferManager::FlushFrames(
-    std::span<const DirtyCandidate> candidates,
-    const AccessContext& /*ctx*/) {
+    std::span<const DirtyCandidate> candidates) {
   DrainDeferred();
   // Device writes go out in ascending page-id order so adjacent dirty pages
   // coalesce into sequential device writes (write clustering) regardless of

@@ -368,18 +368,18 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// commit record as an atomic group and waits for durability. Frames stay
   /// dirty (and resident); they become cheap to evict, since their images
   /// are already in the log. Requires an attached WAL.
-  Status Commit(const AccessContext& ctx = {});
+  Status Commit();
 
   /// Commit, then force every dirty frame to the data device and append a
   /// durable checkpoint record: after this the data device holds exactly
   /// the committed state and recovery replays nothing before the record.
-  Status Checkpoint(const AccessContext& ctx = {});
+  Status Checkpoint();
 
   /// Forces every dirty frame to the data device without evicting it
   /// (honoring the write-ahead rule per frame). The write-back half of
   /// Checkpoint, exposed so a sharded service can interleave one shared
   /// checkpoint record between per-shard forces.
-  Status ForceDirty(const AccessContext& ctx = {});
+  Status ForceDirty();
 
   /// Explicitly evicts one page, writing it back first if dirty (honoring
   /// the write-ahead rule). Refusals are typed, never assertions.
@@ -413,8 +413,7 @@ class BufferManager : public FrameMetaSource, public PageSource {
   /// re-dirtied past its logged image since the harvest (the page stays
   /// dirty; a later round picks it up). Caller holds the external latch.
   /// Returns the number written back.
-  StatusOr<size_t> FlushFrames(std::span<const DirtyCandidate> candidates,
-                               const AccessContext& ctx);
+  StatusOr<size_t> FlushFrames(std::span<const DirtyCandidate> candidates);
 
   /// The two halves of Commit, exposed so a sharded service can gather
   /// images from every shard (all latches held) into ONE atomic commit

@@ -240,6 +240,13 @@ class AccessEventRing {
     }
   }
 
+  /// True if nothing is queued. Exact only without concurrent producers
+  /// (a private buffer's consistency check).
+  bool Empty() const {
+    return head_.load(std::memory_order_relaxed) ==
+           tail_.load(std::memory_order_relaxed);
+  }
+
   bool TryPop(DeferredEvent* event) {
     uint64_t pos = head_.load(std::memory_order_relaxed);
     for (;;) {

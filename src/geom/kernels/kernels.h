@@ -18,8 +18,10 @@ namespace sdb::geom::kernels {
 /// implementation is the single source of truth, and it is defined in the
 /// same canonical accumulation order the vector units use (8 strided
 /// partial sums s0..s7, combined as u_k = s_k + s_{k+4} then
-/// (u0+u2)+(u1+u3), sequential tail) — so query hit counts, page aggregates
-/// and every BENCH_*.json row are independent of the dispatch level.
+/// (u0+u2)+(u1+u3), sequential tail) — so query hit counts, page aggregates,
+/// R* subtree choices (hence tree images) and every BENCH_*.json row are
+/// independent of the dispatch level. overlap_enlargement is the one kernel
+/// with a different canonical order (see Ops).
 enum class Level : uint8_t {
   kScalar = 0,
   kSse2 = 1,
@@ -48,6 +50,19 @@ struct Ops {
   double (*pairwise_overlap_sum)(const double* xmin, const double* ymin,
                                  const double* xmax, const double* ymax,
                                  size_t n);
+  /// R* ChooseSubtree overlap enlargement of every candidate entry i when
+  /// `add` is inserted under it: out[i] = Σ_{j≠i} (area(U_i ∩ e_j) −
+  /// area(e_i ∩ e_j)) with U_i = Union(e_i, add), each area exactly
+  /// geom::IntersectionArea. Canonical order: per candidate i, the terms in
+  /// ascending j (skipping j == i) added one at a time to a sum starting at
+  /// 0.0 — the order of the original scalar ChooseSubtree loop, not the
+  /// 8-stride order above. The per-candidate sums are what the tree
+  /// compares, so a reordering that shifts one rounding step could flip a
+  /// tie and change the tree image; the vector tiers instead put
+  /// candidates in lanes and walk j sequentially in every lane.
+  void (*overlap_enlargement)(const Rect& add, const double* xmin,
+                              const double* ymin, const double* xmax,
+                              const double* ymax, size_t n, double* out);
 };
 
 /// Reusable SoA scratch for deinterleaved entry coordinates. Reserve() grows
@@ -130,6 +145,12 @@ inline double PairwiseOverlapSum(const double* xmin, const double* ymin,
                                  const double* xmax, const double* ymax,
                                  size_t n) {
   return ActiveOps().pairwise_overlap_sum(xmin, ymin, xmax, ymax, n);
+}
+
+inline void OverlapEnlargement(const Rect& add, const double* xmin,
+                               const double* ymin, const double* xmax,
+                               const double* ymax, size_t n, double* out) {
+  ActiveOps().overlap_enlargement(add, xmin, ymin, xmax, ymax, n, out);
 }
 
 }  // namespace sdb::geom::kernels

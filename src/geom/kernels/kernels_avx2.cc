@@ -149,21 +149,31 @@ size_t IntersectMaskAvx2(const Rect& query, const double* xmin,
   return hits;
 }
 
+/// geom::IntersectionArea(a, b) lane by lane (either side may be a
+/// broadcast). The zero test is !(w <= 0) && !(h <= 0) (NLE_UQ: unordered
+/// counts as "not <="), so NaN extents fall through to the product exactly
+/// as the scalar early returns do.
+inline __m256d IntersectionAreas(__m256d ax0, __m256d ay0, __m256d ax1,
+                                 __m256d ay1, __m256d bx0, __m256d by0,
+                                 __m256d bx1, __m256d by1) {
+  const __m256d w = _mm256_sub_pd(_mm256_min_pd(bx1, ax1),
+                                  _mm256_max_pd(bx0, ax0));
+  const __m256d h = _mm256_sub_pd(_mm256_min_pd(by1, ay1),
+                                  _mm256_max_pd(by0, ay0));
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d keep = _mm256_and_pd(_mm256_cmp_pd(w, zero, _CMP_NLE_UQ),
+                                     _mm256_cmp_pd(h, zero, _CMP_NLE_UQ));
+  return _mm256_and_pd(keep, _mm256_mul_pd(w, h));
+}
+
 /// Overlap products of the broadcast rect against entries (j .. j+3).
 inline __m256d OverlapProducts(__m256d ax0, __m256d ay0, __m256d ax1,
                                __m256d ay1, const double* xmin,
                                const double* ymin, const double* xmax,
                                const double* ymax, size_t j) {
-  const __m256d w =
-      _mm256_sub_pd(_mm256_min_pd(_mm256_loadu_pd(xmax + j), ax1),
-                    _mm256_max_pd(_mm256_loadu_pd(xmin + j), ax0));
-  const __m256d h =
-      _mm256_sub_pd(_mm256_min_pd(_mm256_loadu_pd(ymax + j), ay1),
-                    _mm256_max_pd(_mm256_loadu_pd(ymin + j), ay0));
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d none = _mm256_or_pd(_mm256_cmp_pd(w, zero, _CMP_LE_OQ),
-                                    _mm256_cmp_pd(h, zero, _CMP_LE_OQ));
-  return _mm256_andnot_pd(none, _mm256_mul_pd(w, h));
+  return IntersectionAreas(ax0, ay0, ax1, ay1, _mm256_loadu_pd(xmin + j),
+                           _mm256_loadu_pd(ymin + j), _mm256_loadu_pd(xmax + j),
+                           _mm256_loadu_pd(ymax + j));
 }
 
 double PairwiseOverlapSumAvx2(const double* xmin, const double* ymin,
@@ -212,22 +222,65 @@ double PairwiseOverlapSumAvx2(const double* xmin, const double* ymin,
       const size_t j = base + t;
       const __m256i sel = _mm256_set_epi64x(0, rem > 2 ? -1LL : 0,
                                             rem > 1 ? -1LL : 0, -1LL);
-      const __m256d w = _mm256_sub_pd(
-          _mm256_min_pd(_mm256_maskload_pd(xmax + j, sel), ax1),
-          _mm256_max_pd(_mm256_maskload_pd(xmin + j, sel), ax0));
-      const __m256d h = _mm256_sub_pd(
-          _mm256_min_pd(_mm256_maskload_pd(ymax + j, sel), ay1),
-          _mm256_max_pd(_mm256_maskload_pd(ymin + j, sel), ay0));
-      const __m256d zero = _mm256_setzero_pd();
-      const __m256d none = _mm256_or_pd(_mm256_cmp_pd(w, zero, _CMP_LE_OQ),
-                                        _mm256_cmp_pd(h, zero, _CMP_LE_OQ));
       alignas(32) double lanes[4];
-      _mm256_store_pd(lanes, _mm256_andnot_pd(none, _mm256_mul_pd(w, h)));
+      _mm256_store_pd(
+          lanes, IntersectionAreas(ax0, ay0, ax1, ay1,
+                                   _mm256_maskload_pd(xmin + j, sel),
+                                   _mm256_maskload_pd(ymin + j, sel),
+                                   _mm256_maskload_pd(xmax + j, sel),
+                                   _mm256_maskload_pd(ymax + j, sel)));
       for (size_t k = 0; k < rem; ++k) inner += lanes[k];
     }
     total += inner;
   }
   return total;
+}
+
+/// Candidates i..i+3 in lanes; each lane runs the scalar reference's
+/// sequential j loop, so its sum rounds exactly like OverlapEnlargementAt.
+/// The self term (j == i + k in lane k) is skipped with a blend that keeps
+/// the old sum, as the scalar loop's `continue` does.
+void OverlapEnlargementAvx2(const Rect& add, const double* xmin,
+                            const double* ymin, const double* xmax,
+                            const double* ymax, size_t n, double* out) {
+  const __m256d addx0 = _mm256_set1_pd(add.xmin);
+  const __m256d addy0 = _mm256_set1_pd(add.ymin);
+  const __m256d addx1 = _mm256_set1_pd(add.xmax);
+  const __m256d addy1 = _mm256_set1_pd(add.ymax);
+  const __m256i lane = _mm256_set_epi64x(3, 2, 1, 0);
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  for (size_t i = 0; i < n4; i += 4) {
+    const __m256d ex0 = _mm256_loadu_pd(xmin + i);
+    const __m256d ey0 = _mm256_loadu_pd(ymin + i);
+    const __m256d ex1 = _mm256_loadu_pd(xmax + i);
+    const __m256d ey1 = _mm256_loadu_pd(ymax + i);
+    // U = Union(e, add): std::min(e.xmin, add.xmin) is min_pd(add, e).
+    const __m256d ux0 = _mm256_min_pd(addx0, ex0);
+    const __m256d uy0 = _mm256_min_pd(addy0, ey0);
+    const __m256d ux1 = _mm256_max_pd(addx1, ex1);
+    const __m256d uy1 = _mm256_max_pd(addy1, ey1);
+    const auto term = [&](size_t j) {
+      const __m256d bx0 = _mm256_broadcast_sd(xmin + j);
+      const __m256d by0 = _mm256_broadcast_sd(ymin + j);
+      const __m256d bx1 = _mm256_broadcast_sd(xmax + j);
+      const __m256d by1 = _mm256_broadcast_sd(ymax + j);
+      return _mm256_sub_pd(
+          IntersectionAreas(ux0, uy0, ux1, uy1, bx0, by0, bx1, by1),
+          IntersectionAreas(ex0, ey0, ex1, ey1, bx0, by0, bx1, by1));
+    };
+    __m256d acc = _mm256_setzero_pd();
+    for (size_t j = 0; j < i; ++j) acc = _mm256_add_pd(acc, term(j));
+    for (size_t k = 0; k < 4; ++k) {
+      const __m256d self = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+          lane, _mm256_set1_epi64x(static_cast<long long>(k))));
+      acc = _mm256_blendv_pd(_mm256_add_pd(acc, term(i + k)), acc, self);
+    }
+    for (size_t j = i + 4; j < n; ++j) acc = _mm256_add_pd(acc, term(j));
+    _mm256_storeu_pd(out + i, acc);
+  }
+  for (size_t i = n4; i < n; ++i) {
+    out[i] = OverlapEnlargementAt(add, xmin, ymin, xmax, ymax, n, i);
+  }
 }
 
 }  // namespace
@@ -237,6 +290,7 @@ const Ops kAvx2Ops = {
     SumAreasAvx2,
     SumMarginsAvx2,
     PairwiseOverlapSumAvx2,
+    OverlapEnlargementAvx2,
 };
 
 }  // namespace sdb::geom::kernels::internal

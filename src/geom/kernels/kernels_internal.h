@@ -49,6 +49,27 @@ inline double OverlapArea(double axmin, double aymin, double axmax,
   return w * h;
 }
 
+/// Overlap enlargement of candidate i (the scalar reference of
+/// Ops::overlap_enlargement, also the vector tiers' tail): U_i is
+/// geom::Union(e_i, add), and every term is added in ascending j.
+inline double OverlapEnlargementAt(const Rect& add, const double* xmin,
+                                   const double* ymin, const double* xmax,
+                                   const double* ymax, size_t n, size_t i) {
+  const double ux0 = std::min(xmin[i], add.xmin);
+  const double uy0 = std::min(ymin[i], add.ymin);
+  const double ux1 = std::max(xmax[i], add.xmax);
+  const double uy1 = std::max(ymax[i], add.ymax);
+  double delta = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    if (j == i) continue;
+    delta += OverlapArea(ux0, uy0, ux1, uy1, xmin[j], ymin[j], xmax[j],
+                         ymax[j]) -
+             OverlapArea(xmin[i], ymin[i], xmax[i], ymax[i], xmin[j],
+                         ymin[j], xmax[j], ymax[j]);
+  }
+  return delta;
+}
+
 /// Element semantics of query.Intersects(entry) (closed-set: touching edges
 /// intersect; any NaN coordinate compares false, i.e. no intersection).
 inline bool Intersects(const Rect& q, double xmin, double ymin, double xmax,

@@ -50,6 +50,14 @@ double PairwiseOverlapSumScalar(const double* xmin, const double* ymin,
   return total;
 }
 
+void OverlapEnlargementScalar(const Rect& add, const double* xmin,
+                              const double* ymin, const double* xmax,
+                              const double* ymax, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = OverlapEnlargementAt(add, xmin, ymin, xmax, ymax, n, i);
+  }
+}
+
 }  // namespace
 
 const Ops kScalarOps = {
@@ -57,6 +65,7 @@ const Ops kScalarOps = {
     SumAreasScalar,
     SumMarginsScalar,
     PairwiseOverlapSumScalar,
+    OverlapEnlargementScalar,
 };
 
 }  // namespace sdb::geom::kernels::internal

@@ -122,23 +122,29 @@ size_t IntersectMaskSse2(const Rect& query, const double* xmin,
   return hits;
 }
 
-/// Overlap extents of the broadcast rect `a` against entries (j, j+1):
-/// w = min(axmax, xmax[j]) − max(axmin, xmin[j]) etc., with the MINPD
-/// operand swap described at the top of the file.
+/// geom::IntersectionArea(a, b) lane by lane (either side may be a
+/// broadcast), with the MINPD operand swap described at the top of the
+/// file; CMPNLEPD is the unordered-true !(x <= 0), so NaN extents fall
+/// through to the product as in the scalar early returns.
+inline __m128d IntersectionAreas(__m128d ax0, __m128d ay0, __m128d ax1,
+                                 __m128d ay1, __m128d bx0, __m128d by0,
+                                 __m128d bx1, __m128d by1) {
+  const __m128d w = _mm_sub_pd(_mm_min_pd(bx1, ax1), _mm_max_pd(bx0, ax0));
+  const __m128d h = _mm_sub_pd(_mm_min_pd(by1, ay1), _mm_max_pd(by0, ay0));
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d keep =
+      _mm_and_pd(_mm_cmpnle_pd(w, zero), _mm_cmpnle_pd(h, zero));
+  return _mm_and_pd(keep, _mm_mul_pd(w, h));
+}
+
+/// Overlap products of the broadcast rect `a` against entries (j, j+1).
 inline __m128d OverlapProducts(__m128d ax0, __m128d ay0, __m128d ax1,
                                __m128d ay1, const double* xmin,
                                const double* ymin, const double* xmax,
                                const double* ymax, size_t j) {
-  const __m128d w =
-      _mm_sub_pd(_mm_min_pd(_mm_loadu_pd(xmax + j), ax1),
-                 _mm_max_pd(_mm_loadu_pd(xmin + j), ax0));
-  const __m128d h =
-      _mm_sub_pd(_mm_min_pd(_mm_loadu_pd(ymax + j), ay1),
-                 _mm_max_pd(_mm_loadu_pd(ymin + j), ay0));
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d none =
-      _mm_or_pd(_mm_cmple_pd(w, zero), _mm_cmple_pd(h, zero));
-  return _mm_andnot_pd(none, _mm_mul_pd(w, h));
+  return IntersectionAreas(ax0, ay0, ax1, ay1, _mm_loadu_pd(xmin + j),
+                           _mm_loadu_pd(ymin + j), _mm_loadu_pd(xmax + j),
+                           _mm_loadu_pd(ymax + j));
 }
 
 double PairwiseOverlapSumSse2(const double* xmin, const double* ymin,
@@ -182,6 +188,53 @@ double PairwiseOverlapSumSse2(const double* xmin, const double* ymin,
   return total;
 }
 
+/// Candidates i, i+1 in lanes, each running the scalar reference's
+/// sequential j loop; the self term is skipped by selecting the old sum
+/// (SSE2 has no blend, so and/andnot/or), as the scalar `continue` does.
+void OverlapEnlargementSse2(const Rect& add, const double* xmin,
+                            const double* ymin, const double* xmax,
+                            const double* ymax, size_t n, double* out) {
+  const __m128d addx0 = _mm_set1_pd(add.xmin);
+  const __m128d addy0 = _mm_set1_pd(add.ymin);
+  const __m128d addx1 = _mm_set1_pd(add.xmax);
+  const __m128d addy1 = _mm_set1_pd(add.ymax);
+  const __m128d self_lo = _mm_castsi128_pd(_mm_set_epi64x(0, -1));
+  const __m128d self_hi = _mm_castsi128_pd(_mm_set_epi64x(-1, 0));
+  const size_t n2 = n & ~static_cast<size_t>(1);
+  for (size_t i = 0; i < n2; i += 2) {
+    const __m128d ex0 = _mm_loadu_pd(xmin + i);
+    const __m128d ey0 = _mm_loadu_pd(ymin + i);
+    const __m128d ex1 = _mm_loadu_pd(xmax + i);
+    const __m128d ey1 = _mm_loadu_pd(ymax + i);
+    // U = Union(e, add): std::min(e.xmin, add.xmin) is min_pd(add, e).
+    const __m128d ux0 = _mm_min_pd(addx0, ex0);
+    const __m128d uy0 = _mm_min_pd(addy0, ey0);
+    const __m128d ux1 = _mm_max_pd(addx1, ex1);
+    const __m128d uy1 = _mm_max_pd(addy1, ey1);
+    const auto term = [&](size_t j) {
+      const __m128d bx0 = _mm_set1_pd(xmin[j]);
+      const __m128d by0 = _mm_set1_pd(ymin[j]);
+      const __m128d bx1 = _mm_set1_pd(xmax[j]);
+      const __m128d by1 = _mm_set1_pd(ymax[j]);
+      return _mm_sub_pd(
+          IntersectionAreas(ux0, uy0, ux1, uy1, bx0, by0, bx1, by1),
+          IntersectionAreas(ex0, ey0, ex1, ey1, bx0, by0, bx1, by1));
+    };
+    const auto keep_self = [](__m128d self, __m128d old, __m128d sum) {
+      return _mm_or_pd(_mm_and_pd(self, old), _mm_andnot_pd(self, sum));
+    };
+    __m128d acc = _mm_setzero_pd();
+    for (size_t j = 0; j < i; ++j) acc = _mm_add_pd(acc, term(j));
+    acc = keep_self(self_lo, acc, _mm_add_pd(acc, term(i)));
+    acc = keep_self(self_hi, acc, _mm_add_pd(acc, term(i + 1)));
+    for (size_t j = i + 2; j < n; ++j) acc = _mm_add_pd(acc, term(j));
+    _mm_storeu_pd(out + i, acc);
+  }
+  for (size_t i = n2; i < n; ++i) {
+    out[i] = OverlapEnlargementAt(add, xmin, ymin, xmax, ymax, n, i);
+  }
+}
+
 }  // namespace
 
 const Ops kSse2Ops = {
@@ -189,6 +242,7 @@ const Ops kSse2Ops = {
     SumAreasSse2,
     SumMarginsSse2,
     PairwiseOverlapSumSse2,
+    OverlapEnlargementSse2,
 };
 
 }  // namespace sdb::geom::kernels::internal

@@ -140,6 +140,10 @@ void RTree::ChoosePath(const Rect& rect, uint8_t target_level,
                        const AccessContext& ctx,
                        std::vector<PageId>* path,
                        std::vector<uint16_t>* child_index) const {
+  // Per-thread scratch reused by every descent: the node's coordinates in
+  // SoA form and the per-candidate overlap enlargements.
+  thread_local geom::kernels::SoaBuffer coords;
+  thread_local std::vector<double> overlap;
   path->clear();
   child_index->clear();
   PageId current = root_;
@@ -150,25 +154,27 @@ void RTree::ChoosePath(const Rect& rect, uint8_t target_level,
     const uint8_t level = node.level();
     if (level == target_level) return;
     SDB_DCHECK(level > target_level);
-    const std::vector<Entry> entries = node.LoadEntries();
-    SDB_CHECK_MSG(!entries.empty(), "descending through an empty node");
+    const uint16_t n = node.GatherCoords(&coords);
+    SDB_CHECK_MSG(n != 0, "descending through an empty node");
+    const auto entry_rect = [&](size_t i) {
+      return Rect(coords.xmin()[i], coords.ymin()[i], coords.xmax()[i],
+                  coords.ymax()[i]);
+    };
 
     size_t best = 0;
     if (level == 1 && config_.variant == TreeVariant::kRStar) {
       // Children are data pages: minimize overlap enlargement; resolve ties
       // by area enlargement, then by area (R* ChooseSubtree).
+      overlap.resize(n);
+      geom::kernels::OverlapEnlargement(rect, coords.xmin(), coords.ymin(),
+                                        coords.xmax(), coords.ymax(), n,
+                                        overlap.data());
       double best_overlap = 0.0, best_enlarge = 0.0, best_area = 0.0;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const Rect united = geom::Union(entries[i].rect, rect);
-        double overlap_delta = 0.0;
-        for (size_t j = 0; j < entries.size(); ++j) {
-          if (j == i) continue;
-          overlap_delta +=
-              geom::IntersectionArea(united, entries[j].rect) -
-              geom::IntersectionArea(entries[i].rect, entries[j].rect);
-        }
-        const double enlarge = geom::AreaEnlargement(entries[i].rect, rect);
-        const double area = entries[i].rect.Area();
+      for (size_t i = 0; i < n; ++i) {
+        const Rect entry = entry_rect(i);
+        const double overlap_delta = overlap[i];
+        const double enlarge = geom::AreaEnlargement(entry, rect);
+        const double area = entry.Area();
         if (i == 0 || overlap_delta < best_overlap ||
             (overlap_delta == best_overlap &&
              (enlarge < best_enlarge ||
@@ -183,9 +189,10 @@ void RTree::ChoosePath(const Rect& rect, uint8_t target_level,
       // Children are directory pages: minimize area enlargement, ties by
       // area.
       double best_enlarge = 0.0, best_area = 0.0;
-      for (size_t i = 0; i < entries.size(); ++i) {
-        const double enlarge = geom::AreaEnlargement(entries[i].rect, rect);
-        const double area = entries[i].rect.Area();
+      for (size_t i = 0; i < n; ++i) {
+        const Rect entry = entry_rect(i);
+        const double enlarge = geom::AreaEnlargement(entry, rect);
+        const double area = entry.Area();
         if (i == 0 || enlarge < best_enlarge ||
             (enlarge == best_enlarge && area < best_area)) {
           best = i;
@@ -195,7 +202,7 @@ void RTree::ChoosePath(const Rect& rect, uint8_t target_level,
       }
     }
     child_index->push_back(static_cast<uint16_t>(best));
-    current = entries[best].child();
+    current = node.GetEntry(static_cast<uint16_t>(best)).child();
   }
 }
 

@@ -294,7 +294,7 @@ core::Status BufferService::Checkpoint(const core::AccessContext& ctx) {
     // A frame dirtied between the Commit above and this latch hold gets a
     // forced steal commit inside the write-back, so the checkpoint's
     // invariant (device state == some committed state) still holds.
-    if (core::Status forced = shard->buffer->ForceDirty(ctx); !forced.ok()) {
+    if (core::Status forced = shard->buffer->ForceDirty(); !forced.ok()) {
       return forced;
     }
   }
@@ -311,8 +311,8 @@ core::Status BufferService::Checkpoint(const core::AccessContext& ctx) {
   return core::Status::Ok();
 }
 
-core::StatusOr<size_t> BufferService::FlushShardBatch(
-    size_t s, size_t max_pages, const core::AccessContext& ctx) {
+core::StatusOr<size_t> BufferService::FlushShardBatch(size_t s,
+                                                      size_t max_pages) {
   Shard& shard = *shards_[s];
   const std::unique_lock<std::mutex> lock = LockShard(shard);
   core::BufferManager& buffer = *shard.buffer;
@@ -335,7 +335,7 @@ core::StatusOr<size_t> BufferService::FlushShardBatch(
   if (buffer.HarvestFlushCandidates(max_pages, &candidates) == 0) {
     return size_t{0};
   }
-  core::StatusOr<size_t> flushed = buffer.FlushFrames(candidates, ctx);
+  core::StatusOr<size_t> flushed = buffer.FlushFrames(candidates);
   // FlushFrames may have escalated persistent write failures to frame
   // quarantine; when that exhausts the shard's quarantine budget the write
   // path has lost the race against the device for good.

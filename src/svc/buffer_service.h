@@ -212,8 +212,7 @@ class BufferService final : public core::PageSource {
   /// out in page-id order under the shard latch. Returns the number of
   /// pages written back. Called by the FlushCoordinator workers; exposed
   /// for tests.
-  core::StatusOr<size_t> FlushShardBatch(size_t s, size_t max_pages,
-                                         const core::AccessContext& ctx = {});
+  core::StatusOr<size_t> FlushShardBatch(size_t s, size_t max_pages);
 
   /// The background flusher (nullptr when flusher_threads == 0 or the
   /// service is read-only).

@@ -47,7 +47,6 @@ FlushCoordinatorStats FlushCoordinator::stats() const {
 }
 
 void FlushCoordinator::WorkerLoop(size_t worker) {
-  const core::AccessContext ctx;  // background traffic: query id 0
   uint64_t seen_nudges = 0;
   // Per-shard failure state, worker-local: shards are owned round-robin, so
   // no other worker ever touches these slots. A persistently failing shard
@@ -80,7 +79,7 @@ void FlushCoordinator::WorkerLoop(size_t worker) {
           continue;
         }
         const core::StatusOr<size_t> flushed =
-            service_->FlushShardBatch(s, options_.batch_pages, ctx);
+            service_->FlushShardBatch(s, options_.batch_pages);
         if (!flushed.ok()) {
           // The shard keeps its dirty frames (FlushFrames failed mid-batch
           // leaves unflushed candidates dirty); eviction's synchronous

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -234,6 +235,155 @@ TEST(KernelsTest, SoaBufferGrowsAndKeepsSegmentsDisjoint) {
   EXPECT_EQ(buf.capacity(), cap);
   buf.Reserve(10 * cap);
   EXPECT_GE(buf.capacity(), 10 * cap);
+}
+
+// --- overlap_enlargement: the R* ChooseSubtree kernel ---------------------
+
+/// The R* ChooseSubtree overlap-enlargement loop exactly as RTree::ChoosePath
+/// ran it on LoadEntries() copies before the kernel existed — the oracle of
+/// the scalar tier.
+std::vector<double> ChoosePathOverlapLoop(
+    const std::vector<rtree::Entry>& entries, const Rect& rect) {
+  std::vector<double> result;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const Rect united = geom::Union(entries[i].rect, rect);
+    double overlap_delta = 0.0;
+    for (size_t j = 0; j < entries.size(); ++j) {
+      if (j == i) continue;
+      overlap_delta +=
+          geom::IntersectionArea(united, entries[j].rect) -
+          geom::IntersectionArea(entries[i].rect, entries[j].rect);
+    }
+    result.push_back(overlap_delta);
+  }
+  return result;
+}
+
+/// A node of `n` entries plus the rect being inserted, drawn from one of
+/// the degenerate shapes ChooseSubtree meets (or plain random / adversarial
+/// ones).
+struct ChooseCase {
+  RectSet set;
+  Rect add;
+};
+
+ChooseCase MakeChooseCase(Rng& rng, size_t n, int shape) {
+  ChooseCase c;
+  const Rect space(0, 0, 1, 1);
+  switch (shape) {
+    case 0:  // seeded random node, small insert
+      for (size_t i = 0; i < n; ++i) {
+        c.set.Add(test::RandomRect(rng, space, 0.3));
+      }
+      c.add = test::RandomRect(rng, space, 0.05);
+      break;
+    case 1: {  // identical rects
+      const Rect r = test::RandomRect(rng, space, 0.3);
+      for (size_t i = 0; i < n; ++i) c.set.Add(r);
+      c.add = test::RandomRect(rng, space, 0.3);
+      break;
+    }
+    case 2:  // point rects (some coincident), point insert
+      for (size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(rng.NextU64() % 5) / 4;
+        const double y = rng.NextU64() % 2 ? x : rng.NextDouble();
+        c.set.Add(Rect(x, y, x, y));
+      }
+      c.add = Rect(0.5, 0.5, 0.5, 0.5);
+      break;
+    case 3:  // unit cells of an integer grid: touching edges (w == 0)
+      for (size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(rng.NextU64() % 6);
+        const double y = static_cast<double>(rng.NextU64() % 6);
+        c.set.Add(Rect(x, y, x + 1, y + 1));
+      }
+      c.add = Rect(2, 2, 3, 3);
+      break;
+    case 4:  // `add` inside every entry
+      for (size_t i = 0; i < n; ++i) {
+        c.set.Add(Rect(0.4 - 0.4 * rng.NextDouble(),
+                       0.4 - 0.4 * rng.NextDouble(),
+                       0.6 + 0.4 * rng.NextDouble(),
+                       0.6 + 0.4 * rng.NextDouble()));
+      }
+      c.add = Rect(0.45, 0.45, 0.55, 0.55);
+      break;
+    case 5:  // `add` outside every entry
+      for (size_t i = 0; i < n; ++i) {
+        c.set.Add(test::RandomRect(rng, space, 0.3));
+      }
+      c.add = Rect(5, 5, 6, 7);
+      break;
+    case 6:  // ±0.0 coordinates
+      for (size_t i = 0; i < n; ++i) {
+        const auto zero = [&] { return rng.NextU64() % 2 ? 0.0 : -0.0; };
+        const auto coord = [&] {
+          return rng.NextU64() % 3 == 0 ? zero() : rng.Uniform(-1, 1);
+        };
+        const double x0 = coord(), y0 = coord();
+        c.set.Add(Rect(x0, y0, std::max(x0, coord()), std::max(y0, coord())));
+      }
+      c.add = Rect(-0.0, -0.0, 0.0, 0.0);
+      break;
+    case 7: {  // points and edges at ±inf: inf − inf NaN extents
+      const auto pick = [&](double y) {
+        switch (rng.NextU64() % 4) {
+          case 0:
+            return Rect(kInf, y, kInf, y + 1);
+          case 1:
+            return Rect(-kInf, y, -kInf, y + 1);
+          case 2:
+            return Rect(rng.Uniform(-1, 1), y, kInf, y + 1);
+          default:
+            return Rect(-kInf, y, rng.Uniform(-1, 1), y + 1);
+        }
+      };
+      for (size_t i = 0; i < n; ++i) c.set.Add(pick(rng.Uniform(-1, 1)));
+      c.add = pick(0.0);
+      break;
+    }
+    default:  // adversarial: empty/inverted/infinite/huge rects
+      c.set = AdversarialSet(rng, n);
+      c.add = AdversarialRect(rng);
+      break;
+  }
+  return c;
+}
+
+TEST(KernelsOverlapEnlargementTest, AllTiersMatchChoosePathLoopBitForBit) {
+  Rng rng(1990);
+  const std::vector<Level> levels = AvailableLevels();
+  const Ops& scalar = OpsFor(Level::kScalar);
+  constexpr int kShapes = 9;
+  for (size_t n = 1; n <= 84; ++n) {
+    for (int shape = 0; shape < kShapes; ++shape) {
+      const ChooseCase c = MakeChooseCase(rng, n, shape);
+      const RectSet& set = c.set;
+      std::vector<rtree::Entry> entries(n);
+      for (size_t i = 0; i < n; ++i) entries[i].rect = set.At(i);
+      const std::vector<double> oracle = ChoosePathOverlapLoop(entries, c.add);
+
+      std::vector<double> ref(n + 1, 7.0);
+      scalar.overlap_enlargement(c.add, set.xmin.data(), set.ymin.data(),
+                                 set.xmax.data(), set.ymax.data(), n,
+                                 ref.data());
+      EXPECT_EQ(0, std::memcmp(ref.data(), oracle.data(),
+                               n * sizeof(double)))
+          << "scalar tier diverges from the ChoosePath loop: n=" << n
+          << " shape=" << shape;
+      for (const Level level : levels) {
+        std::vector<double> out(n + 1, 7.0);
+        OpsFor(level).overlap_enlargement(c.add, set.xmin.data(),
+                                          set.ymin.data(), set.xmax.data(),
+                                          set.ymax.data(), n, out.data());
+        EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), n * sizeof(double)))
+            << LevelName(level) << " diverges from scalar: n=" << n
+            << " shape=" << shape;
+        EXPECT_EQ(out[n], 7.0) << "wrote past the output at "
+                               << LevelName(level);
+      }
+    }
+  }
 }
 
 // --- NodeView batch path --------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <set>
 #include <tuple>
@@ -7,6 +8,7 @@
 
 #include "core/buffer_manager.h"
 #include "core/policy_lru.h"
+#include "geom/kernels/kernels.h"
 #include "rtree/rtree.h"
 #include "test_util.h"
 
@@ -159,6 +161,59 @@ TEST_P(AggregateConsistencyTest, HeadersMatchRecomputedAggregates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregateConsistencyTest,
                          ::testing::Values(11, 12, 13));
+
+/// R* ChooseSubtree runs its overlap enlargement on the dispatched kernel
+/// tier, so every tier must build the byte-identical tree.
+std::vector<std::byte> BuildTreeImage(geom::kernels::Level level,
+                                      uint32_t fanout, size_t count,
+                                      double extent, uint64_t seed) {
+  geom::kernels::ForceLevel(level);
+  DiskManager disk;
+  BufferManager buffer(&disk, 4096, std::make_unique<core::LruPolicy>());
+  RTreeConfig config;
+  config.max_dir_entries = fanout;
+  config.max_data_entries = fanout;
+  RTree tree(&disk, &buffer, config);
+  const AccessContext ctx{1};
+  Rng rng(seed);
+  for (size_t i = 0; i < count; ++i) {
+    Entry e;
+    e.id = i + 1;
+    e.rect = test::RandomRect(rng, Rect(0, 0, 1, 1), extent);
+    tree.Insert(e, ctx);
+  }
+  buffer.FlushAll();
+  EXPECT_EQ(tree.Validate(), "") << geom::kernels::LevelName(level);
+  EXPECT_GE(tree.height(), 3u) << "too few objects to reach level 1 splits";
+  std::vector<std::byte> image;
+  for (storage::PageId id = 0; id < disk.page_count(); ++id) {
+    const std::span<const std::byte> page = disk.PeekPage(id);
+    image.insert(image.end(), page.begin(), page.end());
+  }
+  return image;
+}
+
+TEST(RTreeKernelIdentityTest, EveryKernelTierBuildsTheSameTree) {
+  using geom::kernels::Level;
+  const Level original = geom::kernels::ActiveLevel();
+  // (fanout, objects, extent): every n % 4 tail of a level-1 node occurs
+  // while these grow, and each stream splits and force-reinserts at every
+  // level.
+  const std::tuple<uint32_t, size_t, double> shapes[] = {
+      {6, 600, 0.05}, {42, 4000, 0.01}, {84, 8000, 0.02}};
+  for (const auto& [fanout, count, extent] : shapes) {
+    const std::vector<std::byte> scalar =
+        BuildTreeImage(Level::kScalar, fanout, count, extent, fanout);
+    for (const Level level : {Level::kSse2, Level::kAvx2}) {
+      if (!geom::kernels::LevelAvailable(level)) continue;
+      EXPECT_TRUE(BuildTreeImage(level, fanout, count, extent, fanout) ==
+                  scalar)
+          << "tree image at " << geom::kernels::LevelName(level)
+          << " differs from scalar (fanout " << fanout << ")";
+    }
+  }
+  geom::kernels::ForceLevel(original);
+}
 
 }  // namespace
 }  // namespace sdb::rtree

@@ -103,7 +103,7 @@ TEST_F(WritePathTest, CommitKeepsFramesDirtyButCheapToEvict) {
   FillPage(page, 0x5A);
   page.Release();
 
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
   EXPECT_EQ(wal_.stats().commits, 1u);
   EXPECT_EQ(wal_.stats().appends, 2u);  // one image + the commit record
   EXPECT_EQ(buffer->dirty_count(), 1u) << "commit does not write back";
@@ -145,7 +145,7 @@ TEST_F(WritePathTest, RedirtyAfterCommitForcesRelogOnEviction) {
   const PageId id = page.page_id();
   FillPage(page, 0xA1);
   page.Release();
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
 
   // Redirty the already-logged frame; its logged image (0xA1) is now stale.
   {
@@ -256,7 +256,7 @@ TEST_F(WritePathTest, CheckpointMakesTheDeviceMatchTheCommittedState) {
   const PageId id_a = a.page_id();
   FillPage(a, 0x11);
   a.Release();
-  ASSERT_TRUE(buffer->Checkpoint(ctx_).ok());
+  ASSERT_TRUE(buffer->Checkpoint().ok());
   EXPECT_EQ(wal_.stats().checkpoints, 1u);
   EXPECT_EQ(buffer->dirty_count(), 0u);
   EXPECT_EQ(ReadPage(disk_, id_a)[0], std::byte{0x11});
@@ -267,7 +267,7 @@ TEST_F(WritePathTest, CheckpointMakesTheDeviceMatchTheCommittedState) {
   const PageId id_b = b.page_id();
   FillPage(b, 0x22);
   b.Release();
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
 
   const core::StatusOr<wal::RecoveryResult> result =
       wal::Recover(log_, disk_);
@@ -277,7 +277,7 @@ TEST_F(WritePathTest, CheckpointMakesTheDeviceMatchTheCommittedState) {
   EXPECT_EQ(ReadPage(disk_, id_b)[0], std::byte{0x22});
 
   // Quiesce the buffer before teardown (it still holds dirty frame b).
-  ASSERT_TRUE(buffer->ForceDirty(ctx_).ok());
+  ASSERT_TRUE(buffer->ForceDirty().ok());
 }
 
 TEST_F(WritePathTest, FlushAllCommitsBeforeWritingBack) {
@@ -311,13 +311,13 @@ TEST_F(WritePathTest, HarvestSelectsLoggedUnpinnedDirtyOldestFirst) {
   const PageId id_a = a.page_id();
   FillPage(a, 0x0A);
   a.Release();
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
   // Page B: dirtied after that commit, so its rec_lsn is strictly younger.
   PageHandle b = buffer->NewOrDie(ctx_);
   const PageId id_b = b.page_id();
   FillPage(b, 0x0B);
   b.Release();
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
   // Page C: dirty but never committed (unlogged) AND still pinned — two
   // independent reasons the harvest must pass it over.
   PageHandle c = buffer->NewOrDie(ctx_);
@@ -335,7 +335,7 @@ TEST_F(WritePathTest, HarvestSelectsLoggedUnpinnedDirtyOldestFirst) {
   EXPECT_LT(candidates[0].rec_lsn, candidates[1].rec_lsn);
 
   const core::StatusOr<size_t> flushed =
-      buffer->FlushFrames(candidates, ctx_);
+      buffer->FlushFrames(candidates);
   ASSERT_TRUE(flushed.ok());
   EXPECT_EQ(*flushed, 2u);
   EXPECT_EQ(buffer->dirty_count(), 1u) << "only the pinned page stays dirty";
@@ -381,7 +381,7 @@ TEST_F(WritePathTest, EvictionPrefersCleanVictimsUnderTheHighWatermark) {
   const PageId id_b = dirty_b.page_id();
   FillPage(dirty_b, 0xB2);
   dirty_b.Release();
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
   buffer->FetchOrDie(clean_a, ctx_).Release();
   buffer->FetchOrDie(clean_b, ctx_).Release();
 
@@ -393,7 +393,7 @@ TEST_F(WritePathTest, EvictionPrefersCleanVictimsUnderTheHighWatermark) {
   EXPECT_EQ(buffer->stats().sync_writeback_fallbacks, 0u);
   EXPECT_EQ(buffer->stats().dirty_writebacks, 0u)
       << "no device write on the foreground path";
-  ASSERT_TRUE(buffer->ForceDirty(ctx_).ok());
+  ASSERT_TRUE(buffer->ForceDirty().ok());
 }
 
 TEST_F(WritePathTest, SyncWritebackFallbackIsCountedPastTheHighWatermark) {
@@ -418,7 +418,7 @@ TEST_F(WritePathTest, SyncWritebackFallbackIsCountedPastTheHighWatermark) {
     FillPage(page, static_cast<uint8_t>(0x10 + i));
     page.Release();
   }
-  ASSERT_TRUE(buffer->Commit(ctx_).ok());
+  ASSERT_TRUE(buffer->Commit().ok());
   buffer->FetchOrDie(staged, ctx_).Release();  // fills the 4th frame, clean
 
   // The LRU victim is ids[0] — dirty and logged. Past the watermark the
@@ -429,7 +429,7 @@ TEST_F(WritePathTest, SyncWritebackFallbackIsCountedPastTheHighWatermark) {
   EXPECT_EQ(buffer->stats().sync_writeback_fallbacks, 1u);
   EXPECT_EQ(buffer->stats().dirty_writebacks, 1u);
   EXPECT_EQ(ReadPage(base, ids[0])[0], std::byte{0x10});
-  ASSERT_TRUE(buffer->ForceDirty(ctx_).ok());
+  ASSERT_TRUE(buffer->ForceDirty().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -912,7 +912,7 @@ TEST(DegradedServiceTest, DegradedReadAvailability) {
   }
 
   // Background flushing parks instead of spinning EnsureDurable failures.
-  const core::StatusOr<size_t> flushed = service.FlushShardBatch(0, 8, ctx);
+  const core::StatusOr<size_t> flushed = service.FlushShardBatch(0, 8);
   ASSERT_TRUE(flushed.ok());
   EXPECT_EQ(*flushed, 0u);
 
